@@ -15,6 +15,9 @@ import numpy as np
 from .bounds import SFCountDistribution, q_function
 from .channel import ChannelParams
 
+# Grid points between the coarse samples of :func:`optimal_threshold`.
+_COARSE_STRIDE = 100
+
 
 def marginal_error(t, params: ChannelParams, p: SFCountDistribution):
     """Expected per-cell error of threshold ``t`` (decide 0 iff y > t)."""
@@ -35,9 +38,22 @@ def optimal_threshold(
 
     Grid resolution is (r0 - r1) / (grid_points - 1), 5 mOhm at the default
     levels; ties resolve to the smallest threshold.
+
+    The error is quasi-convex on [r1, r0]: its slope has the sign of
+    (1 - q) R(t) - q with R(t) = [(1 - psp) phi((r0 - t)/sigma)
+    + psp phi((r0' - t)/sigma)] / phi((t - r1)/sigma), a positive mix of
+    exponentials increasing in t (r0, r0' > r1), so the error falls, then
+    rises, once.  Hence the first minimum of every ``_COARSE_STRIDE``-th grid
+    point lies within one stride of the first minimum of the whole grid, and
+    searching that window returns the same grid point from about 2% of the
+    evaluations (the tests compare both over q, priors and sigma from 1e-3
+    to 5e3).
     """
     ts = np.linspace(params.r1, params.r0, grid_points)
-    return float(ts[int(np.argmin(marginal_error(ts, params, p)))])
+    c = int(np.argmin(marginal_error(ts[::_COARSE_STRIDE], params, p))) * _COARSE_STRIDE
+    lo = max(c - _COARSE_STRIDE, 0)
+    window = ts[lo:c + _COARSE_STRIDE + 1]
+    return float(ts[lo + int(np.argmin(marginal_error(window, params, p)))])
 
 
 def detect_baseline(

@@ -116,12 +116,12 @@ def place_sfs(x: np.ndarray, k: int, rng: np.random.Generator) -> SFPattern:
     """
     if k == 0:
         return SFPattern(())
-    ones = np.argwhere(x == 1)
+    ones = np.flatnonzero(x == 1)
+    width = x.shape[1]
     if k == 1:
         if len(ones) == 0:
             raise InfeasibleSFError("no 1-cells available for a selector failure")
-        i, j = ones[rng.integers(len(ones))]
-        return SFPattern(((int(i), int(j)),))
+        return SFPattern((divmod(int(ones[rng.integers(len(ones))]), width),))
     if k != 2:
         raise ValueError(f"selector-failure count must be 0, 1, or 2, got {k}")
     if len(ones) < 2:
@@ -129,21 +129,21 @@ def place_sfs(x: np.ndarray, k: int, rng: np.random.Generator) -> SFPattern:
     # Rejection from uniform unordered pairs keeps the valid-pair law uniform.
     for _ in range(200):
         a, b = rng.choice(len(ones), size=2, replace=False)
-        (i, j), (ip, jp) = ones[a], ones[b]
+        (i, j), (ip, jp) = divmod(int(ones[a]), width), divmod(int(ones[b]), width)
         if i != ip and j != jp:
-            return SFPattern(((int(i), int(j)), (int(ip), int(jp))))
+            return SFPattern(((i, j), (ip, jp)))
     # Tiny or degenerate arrays: enumerate the valid pairs outright.
+    rows, cols = np.divmod(ones, width)
     valid = [
         (a, b)
         for a in range(len(ones))
         for b in range(a + 1, len(ones))
-        if ones[a, 0] != ones[b, 0] and ones[a, 1] != ones[b, 1]
+        if rows[a] != rows[b] and cols[a] != cols[b]
     ]
     if not valid:
         raise InfeasibleSFError("all 1-cell pairs share a row or column")
     a, b = valid[rng.integers(len(valid))]
-    (i, j), (ip, jp) = ones[a], ones[b]
-    return SFPattern(((int(i), int(j)), (int(ip), int(jp))))
+    return SFPattern(((int(rows[a]), int(cols[a])), (int(rows[b]), int(cols[b]))))
 
 
 def sample_sf_pattern(
@@ -182,9 +182,12 @@ def resistance(bit: int, sp: int, params: ChannelParams) -> float:
 
 
 def resistance_map(x: np.ndarray, e: np.ndarray, params: ChannelParams) -> np.ndarray:
-    """Noiseless readout levels for a whole array."""
-    r = np.where(x == 1, params.r1, np.where(e == 1, params.r0_prime, params.r0))
-    return r.astype(np.float64)
+    """Noiseless readout levels for a whole array of bits and indicators.
+
+    Code x + 2e picks the level: a stored 1 reads r1 whatever its indicator.
+    """
+    levels = np.array([params.r0, params.r1, params.r0_prime, params.r1])
+    return levels[x + 2 * e]
 
 
 def sample_readout(

@@ -46,6 +46,12 @@ CASE_MIXED = "mixed"
 CASE_ALL_COMPLETE = "all_complete"
 CASE_FALLBACK = "fallback"
 
+# Cells per row tile of the LLR pass (32 rows at N = 256).  Arrays of up to
+# _ONE_PASS_CELLS cells (N <= 221) take one pass: on a Xeon with 2 MiB of L2
+# per core, tiling measured slower up to N = 208 and faster from N = 224.
+_TILE_CELLS = 8192
+_ONE_PASS_CELLS = 6 * _TILE_CELLS
+
 
 @dataclass(frozen=True)
 class SPTypeEstimate:
@@ -202,9 +208,22 @@ def decide_sp_types(l1_rows, l1_cols, l2_rows, l2_cols, sneak_llr=None) -> SPTyp
 
 
 def estimate_sp_types(y: np.ndarray, params: ChannelParams) -> SPTypeEstimate:
-    """Run both LLR passes over a whole readout matrix."""
-    fields = _exponent_fields(np.asarray(y, dtype=float), params)
-    t1, t2, sneak_llr = _cell_terms(fields, params.q)
+    """Run both LLR passes over a whole readout matrix.
+
+    Arrays above ``_ONE_PASS_CELLS`` get their per-cell terms in row tiles
+    of about ``_TILE_CELLS`` cells, so each tile's temporaries stay in cache;
+    the values are the same either way.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.size <= _ONE_PASS_CELLS:
+        t1, t2, sneak_llr = _cell_terms(_exponent_fields(y, params), params.q)
+    else:
+        t1, t2, sneak_llr = (np.empty_like(y) for _ in range(3))
+        step = max(1, _TILE_CELLS // y.shape[1])
+        for start in range(0, y.shape[0], step):
+            rows = slice(start, start + step)
+            t1[rows], t2[rows], sneak_llr[rows] = _cell_terms(
+                _exponent_fields(y[rows], params), params.q)
     l1_rows = t1.sum(axis=1)
     l1_cols = t1.sum(axis=0)
     flags_rows = (l1_rows >= 0.0).astype(float)
@@ -413,8 +432,6 @@ def resolve_pairing(
     is_r0 = (y > (params.r0_prime + params.r0) / 2.0).astype(float)
     row_diff = row_pair_bits[0].astype(float) - row_pair_bits[1].astype(float)
     col_diff = col_pair_bits[1].astype(float) - col_pair_bits[0].astype(float)
-    row_diff = row_diff.copy()
-    col_diff = col_diff.copy()
     row_diff[[j1, j2]] = 0.0
     col_diff[[i1, i2]] = 0.0
     score = float(col_diff @ is_r0 @ row_diff)
@@ -597,8 +614,14 @@ def detect_array(
     (p0, p1, p2), which defaults to the reference prior (0.5, 0.4, 0.1),
     less the log number of placements of k failures.  Ties keep the larger
     count.
+
+    Raises ValueError unless ``y`` is a finite square matrix.
     """
     y = np.asarray(y, dtype=float)
+    if y.ndim != 2 or y.shape[0] != y.shape[1]:
+        raise ValueError(f"readout must be a square matrix, got shape {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("readout holds NaN or infinite values")
     est = estimate_sp_types(y, params)
     proposal = (PATTERN_NONE, PATTERN_SINGLE, PATTERN_DOUBLE).index(classify_sf_pattern(est))
     # log p_k minus the log number of ways to place k failures on the

@@ -177,13 +177,17 @@ class _Counters:
         return c
 
 
-def _run_chunk(cfg: ExperimentConfig, sigma_index: int, start: int, stop: int):
-    """Run trials [start, stop) at one noise level; returns counter tuples."""
+def _run_chunk(cfg: ExperimentConfig, sigma_index: int, start: int, stop: int,
+               threshold: float | None):
+    """Run trials [start, stop) at one noise level; returns counter tuples.
+
+    ``threshold`` is the baseline's threshold at this noise level, chosen
+    once per sigma by :func:`run_experiment` (None when the baseline is off).
+    """
     sigma = cfg.sigma_list[sigma_index]
     params = cfg.params_at(sigma)
     p = cfg.sf_dist.as_tuple()
     active = cfg.active_detectors()
-    threshold = optimal_threshold(params, cfg.sf_dist) if DETECTOR_BASELINE in active else None
     counters = {d: _Counters() for d in active}
     for t in range(start, stop):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(sigma_index, t)))
@@ -225,20 +229,22 @@ def run_experiment(cfg: ExperimentConfig, timer=time.perf_counter) -> list[Exper
     records: list[ExperimentRecord] = []
     for sigma_index, sigma in enumerate(cfg.sigma_list):
         t_start = timer()
+        params = cfg.params_at(sigma)
         active = cfg.active_detectors()
+        threshold = optimal_threshold(params, cfg.sf_dist) if DETECTOR_BASELINE in active else None
         totals = {d: _Counters() for d in active}
         ranges = _chunk_ranges(cfg.trials, cfg.workers)
         if cfg.workers > 1 and len(ranges) > 1:
             with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                futures = [pool.submit(_run_chunk, cfg, sigma_index, a, b) for a, b in ranges]
+                futures = [pool.submit(_run_chunk, cfg, sigma_index, a, b, threshold)
+                           for a, b in ranges]
                 results = [f.result() for f in futures]
         else:
-            results = [_run_chunk(cfg, sigma_index, a, b) for a, b in ranges]
+            results = [_run_chunk(cfg, sigma_index, a, b, threshold) for a, b in ranges]
         for chunk_result in results:
             for d, values in chunk_result.items():
                 totals[d].add(_Counters.from_tuple(values))
         elapsed_ms = (timer() - t_start) * 1000.0
-        params = cfg.params_at(sigma)
         fin = ber_lower_bound(cfg.n, cfg.sf_dist, params)
         asym = asymptotic_bound(cfg.sf_dist, params)
         for d in active:

@@ -144,9 +144,6 @@ def verify_intersection_correspondence(
                 violations.append(f"x[{r},{c}]=0 but row {row_idx} has class {rt}")
             if ct != NON_SP:
                 violations.append(f"x[{r},{c}]=0 but col {col_idx} has class {ct}")
-        else:
-            if rt == COMPLETE or ct == COMPLETE:
-                pass  # consistent: complete lines require crossing bit 1
         if rt == COMPLETE and bit != 1:
             violations.append(f"row {row_idx} complete but x[{r},{c}]={bit}")
         if ct == COMPLETE and bit != 1:

@@ -8,6 +8,15 @@ from sneakpath.channel import resistance_map
 PA = SFCountDistribution(0.5, 0.4, 0.1)
 NO_SF = SFCountDistribution(1.0, 0.0, 0.0)
 
+SEARCH_PRIORS = [PA, SFCountDistribution(0.2, 0.3, 0.5), NO_SF, SFCountDistribution(0.0, 0.0, 1.0)]
+SEARCH_SIGMAS = np.geomspace(1e-3, 5e3, 74)
+
+
+def full_grid_threshold(params, p, grid_points=180001):
+    """Reference: first minimum of the error over every grid point."""
+    ts = np.linspace(params.r1, params.r0, grid_points)
+    return ts[np.argmin(marginal_error(ts, params, p))]
+
 
 class TestThresholdChoice:
     def test_symmetric_two_level_case(self, ref_params):
@@ -37,6 +46,24 @@ class TestThresholdChoice:
         params = ChannelParams(sigma=200.0)
         t = optimal_threshold(params, PA)
         assert params.r0_prime < t < params.r0
+
+
+class TestThresholdSearch:
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("p", SEARCH_PRIORS)
+    def test_bracketed_search_matches_full_grid(self, q, p):
+        for sigma in SEARCH_SIGMAS:
+            params = ChannelParams(sigma=float(sigma), q=q)
+            assert optimal_threshold(params, p) == full_grid_threshold(params, p), sigma
+
+    @pytest.mark.parametrize("grid_points", [2, 3, 101, 1001])
+    def test_small_grids_match_full_grid(self, grid_points):
+        for q in (0.1, 0.5, 0.9):
+            for p in SEARCH_PRIORS:
+                for sigma in SEARCH_SIGMAS:
+                    params = ChannelParams(sigma=float(sigma), q=q)
+                    assert (optimal_threshold(params, p, grid_points)
+                            == full_grid_threshold(params, p, grid_points)), (q, p, sigma)
 
 
 class TestDetection:

@@ -29,6 +29,7 @@ from sneakpath.detector import (
     PATTERN_NONE,
     PATTERN_SINGLE,
     SPTypeEstimate,
+    _cell_terms,
     _completeness_terms,
     _exponent_fields,
     _log_mix,
@@ -91,6 +92,20 @@ class TestTypeLLRs:
             assert est.presence_llr_rows[m] == pytest.approx(sp_presence_llr(y[m, :], ref_params), rel=1e-12)
             assert est.completeness_llr_rows[m] == pytest.approx(
                 sp_completeness_llr(y[m, :], flags_cols, ref_params), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(256, 256), (250, 250), (400, 130)])
+    def test_row_tiles_match_one_pass(self, shape):
+        params = ChannelParams(sigma=100.0)
+        y = rng_of(2).normal(500.0, 350.0, shape)
+        t1, t2, sneak = _cell_terms(_exponent_fields(y, params), params.q)
+        est = estimate_sp_types(y, params)
+        assert np.array_equal(est.sneak_llr, sneak)
+        assert np.array_equal(est.presence_llr_rows, t1.sum(axis=1))
+        assert np.array_equal(est.presence_llr_cols, t1.sum(axis=0))
+        flags_rows = (t1.sum(axis=1) >= 0.0).astype(float)
+        flags_cols = (t1.sum(axis=0) >= 0.0).astype(float)
+        assert np.array_equal(est.completeness_llr_cols, flags_rows @ t2)
+        assert np.array_equal(est.completeness_llr_rows, t2 @ flags_cols)
 
     def test_presence_invariant_under_permutation(self, ref_params):
         rng = rng_of(1)
@@ -437,6 +452,31 @@ class TestFullPipeline:
         recs = run_experiment(cfg)
         bers = [r.ber for r in recs]
         assert bers[0] < bers[1] < bers[2]
+
+
+class TestInputValidation:
+    def _readout(self, shape):
+        params = ChannelParams(sigma=30.0)
+        x = sample_data(max(shape), params.q, rng_of(8))[:shape[0], :shape[1]]
+        return sample_readout(x, np.zeros_like(x), params, rng_of(9)), params
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_readout_rejected(self, bad):
+        y, params = self._readout((64, 64))
+        y[5, :] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            detect_array(y, params)
+
+    def test_non_square_readout_rejected(self):
+        y, params = self._readout((16, 24))
+        with pytest.raises(ValueError, match="square"):
+            detect_array(y, params)
+
+    @pytest.mark.parametrize("shape", [(16,), (2, 8, 8)])
+    def test_non_matrix_readout_rejected(self, shape):
+        y = np.full(shape, 550.0)
+        with pytest.raises(ValueError, match="square"):
+            detect_array(y, ChannelParams(sigma=30.0))
 
 
 class TestNumericalRobustness:

@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from sneakpath import ChannelParams, SFCountDistribution, SFPattern
+from sneakpath import ChannelParams, SFCountDistribution, SFPattern, harness
+from sneakpath.baseline import optimal_threshold
 from sneakpath.cli import main as cli_main
 from sneakpath.harness import (
     CSV_FIELDS,
@@ -121,14 +122,31 @@ class TestRunExperiment:
 
     def test_chunk_merging_is_exact(self):
         cfg = ExperimentConfig(n=16, sigma_list=(100.0,), trials=13, seed=3)
-        whole = _run_chunk(cfg, 0, 0, 13)
+        threshold = optimal_threshold(cfg.params_at(100.0), cfg.sf_dist)
+        whole = _run_chunk(cfg, 0, 0, 13, threshold)
         split = {d: _Counters() for d in cfg.active_detectors()}
         for a, b in ((0, 4), (4, 9), (9, 13)):
-            part = _run_chunk(cfg, 0, a, b)
+            part = _run_chunk(cfg, 0, a, b, threshold)
             for d, values in part.items():
                 split[d].add(_Counters.from_tuple(values))
         for d in whole:
             assert whole[d] == split[d].as_tuple()
+
+    def test_threshold_chosen_once_per_sigma(self, monkeypatch):
+        calls = []
+
+        def counting(params, p):
+            calls.append(params.sigma)
+            return optimal_threshold(params, p)
+        monkeypatch.setattr(harness, "optimal_threshold", counting)
+        cfg = ExperimentConfig(n=16, sigma_list=(50.0, 150.0), trials=13, seed=5)
+        assert len(harness._chunk_ranges(cfg.trials, cfg.workers)) > 1
+        run_experiment(cfg, timer=fixed_timer)
+        assert calls == [50.0, 150.0]
+        calls.clear()
+        run_experiment(ExperimentConfig(n=16, sigma_list=(50.0,), trials=3, seed=5,
+                                        detectors=("proposed",)), timer=fixed_timer)
+        assert calls == []
 
     def test_oracle_mode(self):
         cfg = ExperimentConfig(n=16, sigma_list=(100.0,), trials=20, seed=4,
