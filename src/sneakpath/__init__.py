@@ -23,12 +23,10 @@ from .channel import (
     InfeasibleSFError,
     SFPattern,
     compute_sp_indicators,
-    resistance,
     resistance_map,
     sample_data,
     sample_instance,
     sample_readout,
-    sample_sf_pattern,
 )
 from .detector import (
     DetectionResult,
@@ -38,7 +36,6 @@ from .detector import (
     detect_array,
     detect_non_sf,
     estimate_sp_types,
-    mixture_density,
 )
 from .harness import ExperimentConfig, ExperimentRecord, run_experiment, sf_diagnostics, write_results
 from .structure import classify_line_types, event_probability, sp_supports
@@ -63,16 +60,13 @@ __all__ = [
     "detect_non_sf",
     "estimate_sp_types",
     "event_probability",
-    "mixture_density",
     "optimal_threshold",
     "q_function",
-    "resistance",
     "resistance_map",
     "run_experiment",
     "sample_data",
     "sample_instance",
     "sample_readout",
-    "sample_sf_pattern",
     "sf_diagnostics",
     "sp_supports",
     "thresholds",

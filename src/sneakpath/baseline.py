@@ -56,10 +56,9 @@ def optimal_threshold(
     return float(ts[lo + int(np.argmin(marginal_error(window, params, p)))])
 
 
-def detect_baseline(
-    y: np.ndarray, params: ChannelParams, p: SFCountDistribution, threshold: float | None = None
-) -> np.ndarray:
-    """Decide every cell against one fixed threshold: 0 iff y > threshold."""
-    if threshold is None:
-        threshold = optimal_threshold(params, p)
+def detect_baseline(y: np.ndarray, threshold: float) -> np.ndarray:
+    """Decide every cell against one fixed threshold: 0 iff y > threshold.
+
+    The threshold is :func:`optimal_threshold` at the readout's noise level.
+    """
     return (np.asarray(y, dtype=float) <= threshold).astype(np.uint8)

@@ -53,9 +53,6 @@ class ChannelParams:
         """Degraded HRS level seen by a sneak-path cell; always < r0."""
         return 1.0 / (1.0 / self.r0 + 1.0 / self.rs)
 
-    def with_sigma(self, sigma: float) -> "ChannelParams":
-        return ChannelParams(self.r0, self.r1, self.rs, sigma, self.q)
-
 
 @dataclass(frozen=True)
 class SFPattern:
@@ -146,19 +143,6 @@ def place_sfs(x: np.ndarray, k: int, rng: np.random.Generator) -> SFPattern:
     return SFPattern(((int(rows[a]), int(cols[a])), (int(rows[b]), int(cols[b]))))
 
 
-def sample_sf_pattern(
-    x: np.ndarray, p: tuple[float, float, float], rng: np.random.Generator
-) -> SFPattern:
-    """Draw a failure count from ``p`` and place it on ``x``.
-
-    Raises InfeasibleSFError when the drawn count cannot be placed; callers
-    that own the data generation should resample ``x`` and keep the count
-    (see :func:`sample_instance`).
-    """
-    k = sample_sf_count(p, rng)
-    return place_sfs(x, k, rng)
-
-
 def compute_sp_indicators(x: np.ndarray, sf: SFPattern) -> np.ndarray:
     """Mark every sneak-path cell of ``x`` under the failure pattern ``sf``.
 
@@ -172,13 +156,6 @@ def compute_sp_indicators(x: np.ndarray, sf: SFPattern) -> np.ndarray:
         e |= np.outer(x[:, j], x[i, :])
     e &= x == 0
     return e
-
-
-def resistance(bit: int, sp: int, params: ChannelParams) -> float:
-    """Noiseless readout level of one cell: r1, r0, or r0' if sneak-path."""
-    if bit:
-        return params.r1
-    return params.r0_prime if sp else params.r0
 
 
 def resistance_map(x: np.ndarray, e: np.ndarray, params: ChannelParams) -> np.ndarray:

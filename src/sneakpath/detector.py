@@ -117,21 +117,9 @@ def _log_mix(fields, a: float, b: float, c: float):
     return peak + np.log(sum(np.exp(t - peak) for t in terms))
 
 
-def _check_weights(a: float, b: float, c: float) -> None:
-    if min(a, b, c) < 0.0 or abs(a + b + c - 1.0) > 1e-9:
-        raise ValueError(f"component weights must be nonnegative and sum to 1, got {(a, b, c)}")
-
-
-def mixture_density(y, a: float, b: float, c: float, params: ChannelParams):
-    """Unnormalized three-component Gaussian mixture at the readout levels.
-
-    Component kernels peak at 1, so the value at y = r1 with weights
-    (1, 0, 0) is exactly 1.  Prefer the log-domain internals for detection;
-    this raw form underflows once |y - level| exceeds ~40 sigma.
-    """
-    _check_weights(a, b, c)
-    fields = _exponent_fields(np.asarray(y, dtype=float), params)
-    return np.exp(_log_mix(fields, a, b, c))
+def _clear_and_capable(fields, q: float):
+    """Log-mixtures of a clear cell (q, 1-q, 0) and a sneak-path-capable one (q, 0, 1-q)."""
+    return _log_mix(fields, q, 1.0 - q, 0.0), _log_mix(fields, q, 0.0, 1.0 - q)
 
 
 def _cell_terms(fields, q: float):
@@ -144,8 +132,7 @@ def _cell_terms(fields, q: float):
     the capable cell (q, 0, 1-q): the one-support mixture weighs them
     (1-q, q), the partially affected one (1/2, 1/2).
     """
-    lg_clear = _log_mix(fields, q, 1.0 - q, 0.0)
-    lg_sp = _log_mix(fields, q, 0.0, 1.0 - q)
+    lg_clear, lg_sp = _clear_and_capable(fields, q)
     peak = np.maximum(lg_clear, lg_sp)
     e_clear = np.exp(lg_clear - peak)
     e_sp = np.exp(lg_sp - peak)
@@ -154,57 +141,14 @@ def _cell_terms(fields, q: float):
     return presence, completeness, lg_sp - lg_clear
 
 
-def _presence_terms(fields, q: float):
-    """Per-cell evidence for 'line holds one support' vs 'line clear'."""
-    return _cell_terms(fields, q)[0]
-
-
-def _completeness_terms(fields, q: float):
-    """Per-cell evidence for 'fully affected' vs 'partially affected'."""
-    return _cell_terms(fields, q)[1]
-
-
-def sp_presence_llr(y_line: np.ndarray, params: ChannelParams) -> float:
-    """First-pass LLR that a row or column contains sneak-path interference."""
-    fields = _exponent_fields(np.asarray(y_line, dtype=float), params)
-    return float(np.sum(_presence_terms(fields, params.q)))
-
-
-def sp_completeness_llr(
-    y_line: np.ndarray, crossing_flags: np.ndarray, params: ChannelParams
-) -> float:
-    """Second-pass LLR that a flagged line is fully (vs partially) affected.
-
-    ``crossing_flags`` holds the first-pass decisions {0, 0.5} of the
-    orthogonal lines; only cells on flagged crossings carry evidence.
-    """
-    fields = _exponent_fields(np.asarray(y_line, dtype=float), params)
-    weights = 2.0 * np.asarray(crossing_flags, dtype=float)
-    return float(np.sum(weights * _completeness_terms(fields, params.q)))
-
-
-def decide_sp_types(l1_rows, l1_cols, l2_rows, l2_cols, sneak_llr=None) -> SPTypeEstimate:
-    """Hard per-line classes from the two LLR passes.
+def _line_types(presence: np.ndarray, completeness: np.ndarray) -> np.ndarray:
+    """Hard classes of one axis's lines from the two LLR passes.
 
     Class 0 when the presence LLR is negative; otherwise 0.5 or 1.0 by the
     sign of the completeness LLR (boundaries are inclusive toward the
     stronger interference class).
     """
-    l1_rows = np.asarray(l1_rows, dtype=float)
-    l1_cols = np.asarray(l1_cols, dtype=float)
-    l2_rows = np.asarray(l2_rows, dtype=float)
-    l2_cols = np.asarray(l2_cols, dtype=float)
-    row_types = np.where(l1_rows < 0.0, 0.0, np.where(l2_rows < 0.0, 0.5, 1.0))
-    col_types = np.where(l1_cols < 0.0, 0.0, np.where(l2_cols < 0.0, 0.5, 1.0))
-    return SPTypeEstimate(
-        row_types=row_types,
-        col_types=col_types,
-        presence_llr_rows=l1_rows,
-        presence_llr_cols=l1_cols,
-        completeness_llr_rows=l2_rows,
-        completeness_llr_cols=l2_cols,
-        sneak_llr=sneak_llr,
-    )
+    return np.where(presence < 0.0, 0.0, np.where(completeness < 0.0, 0.5, 1.0))
 
 
 def estimate_sp_types(y: np.ndarray, params: ChannelParams) -> SPTypeEstimate:
@@ -230,7 +174,15 @@ def estimate_sp_types(y: np.ndarray, params: ChannelParams) -> SPTypeEstimate:
     flags_cols = (l1_cols >= 0.0).astype(float)
     l2_cols = flags_rows @ t2
     l2_rows = t2 @ flags_cols
-    return decide_sp_types(l1_rows, l1_cols, l2_rows, l2_cols, sneak_llr)
+    return SPTypeEstimate(
+        row_types=_line_types(l1_rows, l2_rows),
+        col_types=_line_types(l1_cols, l2_cols),
+        presence_llr_rows=l1_rows,
+        presence_llr_cols=l1_cols,
+        completeness_llr_rows=l2_rows,
+        completeness_llr_cols=l2_cols,
+        sneak_llr=sneak_llr,
+    )
 
 
 def classify_sf_pattern(est: SPTypeEstimate) -> str:
@@ -459,7 +411,6 @@ def refine_uncertain_pairs(
     ``col_pair_llr`` must be ordered consistently with ``j_pair_ordered``.
     Returns updated (row_pair_llr, col_pair_llr).
     """
-    q = params.q
     unc_cols = np.flatnonzero(est.col_types == 0.5)
     unc_cols = unc_cols[~np.isin(unc_cols, j_pair_ordered)]
     unc_rows = np.flatnonzero(est.row_types == 0.5)
@@ -469,9 +420,7 @@ def refine_uncertain_pairs(
     if unc_cols.size == 0 or unc_rows.size == 0:
         return l2_rows, l2_cols
     sub = np.asarray(y, dtype=float)[np.ix_(unc_rows, unc_cols)]
-    fields = _exponent_fields(sub, params)
-    lg_sp = _log_mix(fields, q, 0.0, 1.0 - q)
-    lg_clear = _log_mix(fields, q, 1.0 - q, 0.0)
+    lg_clear, lg_sp = _clear_and_capable(_exponent_fields(sub, params), params.q)
     prior_c = col_pair_llr[unc_rows][:, None]
     msg_to_rows = np.logaddexp(prior_c + lg_sp, lg_clear) - np.logaddexp(
         prior_c + lg_clear, lg_sp

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,35 +152,13 @@ def sf_diagnostics(
     )
 
 
-class _Counters:
-    __slots__ = ("bits", "bit_errors", "sf_loc_trials", "sf_loc_errors", "sfrc_bits", "sfrc_errors")
-
-    def __init__(self):
-        self.bits = 0
-        self.bit_errors = 0
-        self.sf_loc_trials = 0
-        self.sf_loc_errors = 0
-        self.sfrc_bits = 0
-        self.sfrc_errors = 0
-
-    def add(self, other: "_Counters") -> None:
-        for name in self.__slots__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
-    def as_tuple(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    @classmethod
-    def from_tuple(cls, values):
-        c = cls()
-        for name, v in zip(cls.__slots__, values):
-            setattr(c, name, v)
-        return c
+# Integer counters kept per detector, in ExperimentRecord field order.
+_COUNTERS = ("bits", "bit_errors", "sf_loc_trials", "sf_loc_errors", "sfrc_bits", "sfrc_errors")
 
 
 def _run_chunk(cfg: ExperimentConfig, sigma_index: int, start: int, stop: int,
                threshold: float | None):
-    """Run trials [start, stop) at one noise level; returns counter tuples.
+    """Run trials [start, stop) at one noise level; returns counter vectors.
 
     ``threshold`` is the baseline's threshold at this noise level, chosen
     once per sigma by :func:`run_experiment` (None when the baseline is off).
@@ -188,7 +167,7 @@ def _run_chunk(cfg: ExperimentConfig, sigma_index: int, start: int, stop: int,
     params = cfg.params_at(sigma)
     p = cfg.sf_dist.as_tuple()
     active = cfg.active_detectors()
-    counters = {d: _Counters() for d in active}
+    counters = {d: np.zeros(len(_COUNTERS), dtype=np.int64) for d in active}
     for t in range(start, stop):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(sigma_index, t)))
         x, sf, _, y = sample_instance(cfg.n, params, p, rng)
@@ -201,18 +180,12 @@ def _run_chunk(cfg: ExperimentConfig, sigma_index: int, start: int, stop: int,
                 x_hat = detect_non_sf(y, sf.pairs, x, params)
                 declared = sf.pairs
             else:
-                x_hat = detect_baseline(y, params, cfg.sf_dist, threshold)
+                x_hat = detect_baseline(y, threshold)
                 declared = None
             diag = sf_diagnostics(x, sf, x_hat, declared)
-            c = counters[d]
-            c.bits += x.size
-            c.bit_errors += int((x_hat != x).sum())
-            if diag.loc_error is not None:
-                c.sf_loc_trials += 1
-                c.sf_loc_errors += int(diag.loc_error)
-            c.sfrc_bits += diag.sfrc_bits
-            c.sfrc_errors += diag.sfrc_errors
-    return {d: counters[d].as_tuple() for d in active}
+            counters[d] += (x.size, int((x_hat != x).sum()), diag.loc_error is not None,
+                            bool(diag.loc_error), diag.sfrc_bits, diag.sfrc_errors)
+    return counters
 
 
 def _chunk_ranges(trials: int, workers: int):
@@ -223,40 +196,38 @@ def _chunk_ranges(trials: int, workers: int):
 def run_experiment(cfg: ExperimentConfig, timer=time.perf_counter) -> list[ExperimentRecord]:
     """Run the full sweep; one record per (sigma, detector).
 
-    All detectors see the same generated instances at a given sigma.  The
-    ``timer`` is injectable so tests can pin the elapsed column.
+    All detectors see the same generated instances at a given sigma, and
+    one worker pool serves every sigma.  The ``timer`` is injectable so
+    tests can pin the elapsed column.
     """
     records: list[ExperimentRecord] = []
-    for sigma_index, sigma in enumerate(cfg.sigma_list):
-        t_start = timer()
-        params = cfg.params_at(sigma)
-        active = cfg.active_detectors()
-        threshold = optimal_threshold(params, cfg.sf_dist) if DETECTOR_BASELINE in active else None
-        totals = {d: _Counters() for d in active}
-        ranges = _chunk_ranges(cfg.trials, cfg.workers)
-        if cfg.workers > 1 and len(ranges) > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    active = cfg.active_detectors()
+    ranges = _chunk_ranges(cfg.trials, cfg.workers)
+    parallel = cfg.workers > 1 and len(ranges) > 1
+    with ProcessPoolExecutor(max_workers=cfg.workers) if parallel else nullcontext() as pool:
+        for sigma_index, sigma in enumerate(cfg.sigma_list):
+            t_start = timer()
+            params = cfg.params_at(sigma)
+            threshold = optimal_threshold(params, cfg.sf_dist) if DETECTOR_BASELINE in active else None
+            if pool is None:
+                results = [_run_chunk(cfg, sigma_index, a, b, threshold) for a, b in ranges]
+            else:
                 futures = [pool.submit(_run_chunk, cfg, sigma_index, a, b, threshold)
                            for a, b in ranges]
                 results = [f.result() for f in futures]
-        else:
-            results = [_run_chunk(cfg, sigma_index, a, b, threshold) for a, b in ranges]
-        for chunk_result in results:
-            for d, values in chunk_result.items():
-                totals[d].add(_Counters.from_tuple(values))
-        elapsed_ms = (timer() - t_start) * 1000.0
-        fin = ber_lower_bound(cfg.n, cfg.sf_dist, params)
-        asym = asymptotic_bound(cfg.sf_dist, params)
-        for d in active:
-            c = totals[d]
-            records.append(ExperimentRecord(
-                sigma=sigma, n=cfg.n, q=cfg.q, sf_dist=cfg.sf_dist, detector=d,
-                trials=cfg.trials, bits=c.bits, bit_errors=c.bit_errors,
-                sf_loc_trials=c.sf_loc_trials, sf_loc_errors=c.sf_loc_errors,
-                sfrc_bits=c.sfrc_bits, sfrc_errors=c.sfrc_errors,
-                bound_finite=fin, bound_asymptotic=asym, seed=cfg.seed,
-                elapsed_ms=elapsed_ms,
-            ))
+            elapsed_ms = (timer() - t_start) * 1000.0
+            fin = ber_lower_bound(cfg.n, cfg.sf_dist, params)
+            asym = asymptotic_bound(cfg.sf_dist, params)
+            for d in active:
+                # Plain ints: rates of np.int64 counts are np.float64, whose
+                # repr() is not a plain number and would reach the CSV.
+                counts = sum(r[d] for r in results).tolist()
+                records.append(ExperimentRecord(
+                    sigma=sigma, n=cfg.n, q=cfg.q, sf_dist=cfg.sf_dist, detector=d,
+                    trials=cfg.trials, **dict(zip(_COUNTERS, counts)),
+                    bound_finite=fin, bound_asymptotic=asym, seed=cfg.seed,
+                    elapsed_ms=elapsed_ms,
+                ))
     return records
 
 

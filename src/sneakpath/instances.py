@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SFPattern, compute_sp_indicators, place_sfs, sample_data
-from .structure import COMPLETE, INCOMPLETE, NON_SP, LineTypes, classify_line_types, sp_supports
+from .structure import (COMPLETE, INCOMPLETE, NON_SP, LineTypes, classify_line_types, line_classes,
+                        sp_supports)
 
 KIND_NO_SF = "no_sf"
 KIND_SINGLE = "single"
@@ -43,6 +44,9 @@ ALL_KINDS = (
     KIND_DOUBLE_01,
     KIND_DOUBLE_11,
 )
+
+# Data draws per instance before giving up.
+_MAX_TRIES = 200000
 
 _CROSS_OF_KIND = {
     KIND_DOUBLE_00: (0, 0),
@@ -64,26 +68,6 @@ class CaseInstance:
 def _no_saturated_lines(x: np.ndarray) -> bool:
     # An all-ones line carries no evidence of being clear.
     return not (x.all(axis=0).any() or x.all(axis=1).any())
-
-
-def _noiseless_view_types(x: np.ndarray, e: np.ndarray):
-    """Line classes as the vanishing-noise pipeline sees them.
-
-    The second classification pass only weighs crossings with lines that
-    actually contain sneak-path cells, so a line whose only plain-HRS
-    crossing sits on a sneak-path-free (e.g. failure) line still looks
-    fully affected.  The literal class of :func:`classify_line_types` also
-    counts crossings with merely *supported* lines; the two views coincide
-    asymptotically and on every instance this module emits.
-    """
-    sp_rows = e.any(axis=1)
-    sp_cols = e.any(axis=0)
-    plain_hrs = (x == 0) & (e == 0)
-    bad_rows = (plain_hrs & sp_cols[None, :]).any(axis=1)
-    bad_cols = (plain_hrs & sp_rows[:, None]).any(axis=0)
-    row_types = np.where(sp_rows, np.where(bad_rows, INCOMPLETE, COMPLETE), NON_SP)
-    col_types = np.where(sp_cols, np.where(bad_cols, INCOMPLETE, COMPLETE), NON_SP)
-    return row_types, col_types
 
 
 def _line_penalties(x: np.ndarray, e: np.ndarray, types_across: np.ndarray, axis: int):
@@ -134,7 +118,14 @@ def _single_sf_premises(x: np.ndarray, sf: SFPattern, e: np.ndarray) -> bool:
     # The failure must leave traces on both axes, else it is invisible.
     if sup.row_counts[i] == 0 or sup.col_counts[j] == 0:
         return False
-    rt, ct = _noiseless_view_types(x, e)
+    # Line classes as the vanishing-noise pipeline sees them: its second
+    # classification pass only weighs crossings with lines that hold
+    # sneak-path cells, so a line whose only plain-HRS crossing sits on a
+    # sneak-path-free (e.g. failure) line still looks fully affected.  The
+    # literal class crosses with merely *supported* lines; the two views
+    # coincide asymptotically and on every instance this module emits.
+    view = line_classes(x, e, e.any(axis=1), e.any(axis=0))
+    rt, ct = view.row_types, view.col_types
     # Every supported non-failure line must close at least one sneak path.
     row_sup = sup.cells.any(axis=1)
     col_sup = sup.cells.any(axis=0)
@@ -153,7 +144,9 @@ def _double_sf_premises(x: np.ndarray, sf: SFPattern, e: np.ndarray, cross) -> b
         return False
     sup = sp_supports(x, sf)
     n = x.shape[0]
-    rt, ct = _noiseless_view_types(x, e)
+    # The noiseless view, as in _single_sf_premises.
+    view = line_classes(x, e, e.any(axis=1), e.any(axis=0))
+    rt, ct = view.row_types, view.col_types
     others_r = np.ones(n, dtype=bool)
     others_r[[i, ip]] = False
     others_c = np.ones(n, dtype=bool)
@@ -192,13 +185,11 @@ def _double_sf_premises(x: np.ndarray, sf: SFPattern, e: np.ndarray, cross) -> b
     return True
 
 
-def make_case_instance(
-    kind: str, n: int, q: float, rng: np.random.Generator, max_tries: int = 200000
-) -> CaseInstance:
+def make_case_instance(kind: str, n: int, q: float, rng: np.random.Generator) -> CaseInstance:
     """Sample one instance of the requested kind satisfying every premise."""
     if kind not in ALL_KINDS:
         raise ValueError(f"unknown instance kind {kind!r}; known: {ALL_KINDS}")
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         x = sample_data(n, q, rng)
         if not _no_saturated_lines(x):
             continue
@@ -220,7 +211,7 @@ def make_case_instance(
             continue
         types = classify_line_types(x, e, sf)
         return CaseInstance(kind=kind, x=x, sf=sf, e=e, types=types)
-    raise RuntimeError(f"no valid {kind!r} instance found in {max_tries} tries (n={n}, q={q})")
+    raise RuntimeError(f"no valid {kind!r} instance found in {_MAX_TRIES} tries (n={n}, q={q})")
 
 
 def make_case_library(

@@ -35,20 +35,15 @@ COMPLETE = 1.0
 
 @dataclass(frozen=True)
 class SupportSummary:
-    """Support cells and their per-line counts, with per-failure attribution.
+    """Support cells and their per-line counts.
 
     ``row_counts[m]`` / ``col_counts[n]`` count support cells lying in the
-    line; failed cells themselves never count.  ``row_has_from[k, m]`` is
-    True when row m contains a support attributed to failure k (and likewise
-    for columns), which is what decides whether a 0-cell at a crossing is a
-    sneak-path cell (same failure) or plain HRS (different failures only).
+    line; failed cells themselves never count.
     """
 
     cells: np.ndarray        # (N, N) bool, support cells
     row_counts: np.ndarray   # (N,) int
     col_counts: np.ndarray   # (N,) int
-    row_has_from: np.ndarray  # (k, N) bool
-    col_has_from: np.ndarray  # (k, N) bool
 
 
 @dataclass(frozen=True)
@@ -71,49 +66,63 @@ class CorrespondenceReport:
         return not self.violations
 
 
+def _support_cells(x: np.ndarray, pairs) -> np.ndarray:
+    """Support cells of bit arrays of shape (..., N, N) under failures ``pairs``.
+
+    Failures never share a line, so no failure's lines pass through another
+    failure's cell, and clearing each failed cell as it is met is exact.
+    """
+    b = x.astype(bool)
+    cells = np.zeros_like(b)
+    for (i, j) in pairs:
+        cells[..., i, :] |= b[..., i, :]
+        cells[..., :, j] |= b[..., :, j]
+        cells[..., i, j] = False
+    return cells
+
+
 def sp_supports(x: np.ndarray, sf: SFPattern) -> SupportSummary:
     """Locate all support cells of ``x`` under the failure pattern ``sf``."""
     sf.validate_against(x)
-    n = x.shape[0]
-    b = x.astype(bool)
-    cells = np.zeros((n, n), dtype=bool)
-    k = len(sf)
-    row_has = np.zeros((k, n), dtype=bool)
-    col_has = np.zeros((k, n), dtype=bool)
-    for idx, (i, j) in enumerate(sf.pairs):
-        in_row = b[i, :].copy()
-        in_row[j] = False
-        in_col = b[:, j].copy()
-        in_col[i] = False
-        cells[i, :] |= in_row
-        cells[:, j] |= in_col
-        # Attribution: this failure supports column n via cell (i, n) and
-        # row m via cell (m, j); its own row/column hold its row-side cells.
-        col_has[idx] = in_row
-        row_has[idx] = in_col
-        row_has[idx, i] = in_row.any()
-        col_has[idx, j] = in_col.any()
+    cells = _support_cells(x, sf.pairs)
     return SupportSummary(
         cells=cells,
         row_counts=cells.sum(axis=1).astype(int),
         col_counts=cells.sum(axis=0).astype(int),
-        row_has_from=row_has,
-        col_has_from=col_has,
+    )
+
+
+def line_classes(
+    x: np.ndarray, e: np.ndarray, cross_rows: np.ndarray, cross_cols: np.ndarray
+) -> LineTypes:
+    """Classes of every row and column of arrays of shape (..., N, N).
+
+    A line with sneak-path cells is partially affected when it holds a
+    plain-HRS cell (x = 0, e = 0) on a crossing line and fully affected
+    otherwise.  ``cross_rows`` (..., N) and ``cross_cols`` (..., N) mark the
+    crossing lines: the supported lines for the literal class of
+    :func:`classify_line_types`, the lines holding sneak-path cells for the
+    view of the vanishing-noise detector (see :mod:`sneakpath.instances`).
+    """
+    plain_hrs = (x == 0) & (e == 0)
+    partial_rows = (plain_hrs & cross_cols[..., None, :]).any(axis=-1)
+    partial_cols = (plain_hrs & cross_rows[..., :, None]).any(axis=-2)
+    return LineTypes(
+        row_types=np.where(e.any(axis=-1), np.where(partial_rows, INCOMPLETE, COMPLETE), NON_SP),
+        col_types=np.where(e.any(axis=-2), np.where(partial_cols, INCOMPLETE, COMPLETE), NON_SP),
     )
 
 
 def classify_line_types(x: np.ndarray, e: np.ndarray, sf: SFPattern) -> LineTypes:
-    """Classify every row and column of a realized array (ground truth)."""
-    sup = sp_supports(x, sf)
-    supported_rows = sup.cells.any(axis=1)
-    supported_cols = sup.cells.any(axis=0)
-    critical = supported_rows[:, None] & supported_cols[None, :]
-    hrs_critical = critical & (x == 0) & (e == 0)
-    sp_rows = e.any(axis=1)
-    sp_cols = e.any(axis=0)
-    row_types = np.where(sp_rows, np.where(hrs_critical.any(axis=1), INCOMPLETE, COMPLETE), NON_SP)
-    col_types = np.where(sp_cols, np.where(hrs_critical.any(axis=0), INCOMPLETE, COMPLETE), NON_SP)
-    return LineTypes(row_types=row_types, col_types=col_types)
+    """Classify every row and column of a realized array (ground truth).
+
+    The crossing lines are the supported ones, so a line's plain-HRS cells
+    count where they are critical.  A line with a sneak-path cell always
+    holds a support itself, so its own side of the critical mask adds
+    nothing.
+    """
+    cells = sp_supports(x, sf).cells
+    return line_classes(x, e, cells.any(axis=1), cells.any(axis=0))
 
 
 def verify_intersection_correspondence(
@@ -228,6 +237,8 @@ def event_is_lower_bound(event: str) -> bool:
 # ---------------------------------------------------------------------------
 
 _DESIGNATED_ROW = 2
+# Arrays drawn per batch.
+_EVENT_CHUNK = 20000
 
 
 @dataclass(frozen=True)
@@ -271,29 +282,6 @@ class EventEstimate:
         return abs(self.z) <= n_se
 
 
-def _batch_line_stats(bits: np.ndarray, sf_cells: list[tuple[int, int]]):
-    """Row/col types and support counts for a (B, N, N) batch of bit arrays."""
-    b = bits.astype(bool)
-    e = np.zeros_like(b)
-    sup = np.zeros_like(b)
-    for (i, j) in sf_cells:
-        e |= b[:, :, j][:, :, None] & b[:, i, :][:, None, :]
-        sup[:, i, :] |= b[:, i, :]
-        sup[:, :, j] |= b[:, :, j]
-    for (i, j) in sf_cells:
-        sup[:, i, j] = False
-    e &= ~b
-    sup_rows = sup.any(axis=2)
-    sup_cols = sup.any(axis=1)
-    critical = sup_rows[:, :, None] & sup_cols[:, None, :]
-    hrs_crit = critical & ~b & ~e
-    sp_rows = e.any(axis=2)
-    sp_cols = e.any(axis=1)
-    row_types = np.where(sp_rows, np.where(hrs_crit.any(axis=2), INCOMPLETE, COMPLETE), NON_SP)
-    col_types = np.where(sp_cols, np.where(hrs_crit.any(axis=1), INCOMPLETE, COMPLETE), NON_SP)
-    return row_types, col_types
-
-
 def _event_masks(event: str, bits: np.ndarray, row_types: np.ndarray, col_types: np.ndarray):
     """Condition and success masks over a batch, per event definition."""
     m = _DESIGNATED_ROW
@@ -321,9 +309,7 @@ def _event_masks(event: str, bits: np.ndarray, row_types: np.ndarray, col_types:
     return cond, succ
 
 
-def estimate_event_frequency(
-    event: str, n: int, q: float, trials: int, seed: int, chunk: int = 20000
-) -> EventEstimate:
+def estimate_event_frequency(event: str, n: int, q: float, trials: int, seed: int) -> EventEstimate:
     """Estimate one event frequency with ``trials`` independent arrays."""
     predicted = event_probability(event, q, n)
     single = event == "single_sf_supported_line_complete"
@@ -333,12 +319,18 @@ def estimate_event_frequency(
     successes = 0
     done = 0
     while done < trials:
-        b = min(chunk, trials - done)
+        b = min(_EVENT_CHUNK, trials - done)
         bits = (rng.random((b, n, n)) < q).astype(np.uint8)
         for (i, j) in sf_cells:
             bits[:, i, j] = 1
-        row_types, col_types = _batch_line_stats(bits, sf_cells)
-        cond, succ = _event_masks(event, bits, row_types, col_types)
+        ones = bits.astype(bool)
+        e = np.zeros_like(ones)
+        for (i, j) in sf_cells:
+            e |= ones[:, :, j, None] & ones[:, None, i, :]
+        e &= ~ones
+        sup = _support_cells(ones, sf_cells)
+        types = line_classes(ones, e, sup.any(axis=-1), sup.any(axis=-2))
+        cond, succ = _event_masks(event, bits, types.row_types, types.col_types)
         samples += int(cond.sum())
         successes += int((cond & succ).sum())
         done += b

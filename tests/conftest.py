@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,4 +28,4 @@ def ref_params():
 
 
 def near_noiseless(params: ChannelParams) -> ChannelParams:
-    return params.with_sigma(1e-6)
+    return dataclasses.replace(params, sigma=1e-6)

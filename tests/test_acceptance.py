@@ -39,10 +39,9 @@ from sneakpath.baseline import optimal_threshold
 from sneakpath.bounds import ber_lower_bound
 from sneakpath.channel import InfeasibleSFError, place_sfs
 from sneakpath.detector import (
-    _completeness_terms,
+    _cell_terms,
     _exponent_fields,
     _log_mix,
-    _presence_terms,
     refine_uncertain_pairs,
     uncertain_pair_llr,
 )
@@ -101,7 +100,7 @@ def _paired_chunk(args):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
         x, sf, _, y = sample_instance(n, params, dist, rng)
         prop = int((detect_array(y, params).x_hat != x).sum())
-        base = int((detect_baseline(y, params, p, thr) != x).sum())
+        base = int((detect_baseline(y, thr) != x).sum())
         orac = int((detect_non_sf(y, sf.pairs, x, params) != x).sum()) if with_oracle else -1
         rows.append((prop, base, orac))
     return rows
@@ -307,8 +306,7 @@ def test_criterion_9_numerical_robustness():
             y = level + ks * sigma
             fields = _exponent_fields(y, params)
             surfaces = [
-                _presence_terms(fields, params.q),
-                _completeness_terms(fields, params.q),
+                *_cell_terms(fields, params.q),
                 _log_mix(fields, 0.5, 0.25, 0.25),
             ]
             for s in surfaces:

@@ -73,19 +73,19 @@ class TestDetection:
 
     def test_midgap_threshold_misreads_sneak_cells(self, demo_x, ref_params):
         e, y = self._noiseless_instance(demo_x, ref_params)
-        bits = detect_baseline(y, ref_params, PA, threshold=550.0)
+        bits = detect_baseline(y, 550.0)
         wrong = bits != demo_x
         assert np.array_equal(wrong, e == 1)  # exactly the sneak cells flip
 
     def test_low_threshold_recovers_everything(self, demo_x, ref_params):
         e, y = self._noiseless_instance(demo_x, ref_params)
         for t in (150.0, 120.0, 199.0):
-            bits = detect_baseline(y, ref_params, PA, threshold=t)
+            bits = detect_baseline(y, t)
             assert np.array_equal(bits, demo_x)
 
-    def test_decision_convention(self, ref_params):
+    def test_decision_convention(self):
         y = np.array([[551.0, 549.0]])
-        bits = detect_baseline(y, ref_params, PA, threshold=550.0)
+        bits = detect_baseline(y, 550.0)
         assert bits.tolist() == [[0, 1]]
 
     def test_threshold_recomputed_per_noise_level(self):

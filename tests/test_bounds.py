@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ class TestThresholds:
 
     def test_sigma_free_at_even_prior(self, ref_params):
         for sigma in (1.0, 30.0, 400.0):
-            gamma, gamma_prime = thresholds(ref_params.with_sigma(sigma))
+            gamma, gamma_prime = thresholds(replace(ref_params, sigma=sigma))
             assert gamma == pytest.approx(550.0, abs=1e-9)
             assert gamma_prime == pytest.approx(150.0, abs=1e-9)
 
@@ -57,7 +58,7 @@ class TestThresholds:
 
     def test_ordering_invariant(self, ref_params):
         for sigma in (10.0, 30.0, 100.0):
-            p = ref_params.with_sigma(sigma)
+            p = replace(ref_params, sigma=sigma)
             gamma, gamma_prime = thresholds(p)
             assert p.r1 < gamma_prime < p.r0_prime < gamma < p.r0
 
@@ -96,17 +97,17 @@ class TestBounds:
 
     def test_finite_below_asymptotic(self, ref_params):
         for sigma in (30.0, 150.0, 350.0):
-            p = ref_params.with_sigma(sigma)
+            p = replace(ref_params, sigma=sigma)
             assert ber_lower_bound(128, PA, p) <= asymptotic_bound(PA, p)
 
     def test_monotone_in_noise(self, ref_params):
-        values = [ber_lower_bound(128, PA, ref_params.with_sigma(s))
+        values = [ber_lower_bound(128, PA, replace(ref_params, sigma=s))
                   for s in (30.0, 60.0, 120.0, 240.0, 480.0)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_matches_term_by_term_quadrature(self, ref_params):
         # Rebuild the bound from quadrature-evaluated tails.
-        p = ref_params.with_sigma(150.0)
+        p = replace(ref_params, sigma=150.0)
         gamma, gamma_prime = thresholds(p)
         n = 128
         total = 0.0
@@ -127,7 +128,7 @@ class TestBounds:
 class TestSymmetricDiagnostic:
     def test_coincides_at_even_prior(self, ref_params):
         for sigma in (30.0, 150.0):
-            p = ref_params.with_sigma(sigma)
+            p = replace(ref_params, sigma=sigma)
             assert genie_error_symmetric(128, PA, p) == pytest.approx(
                 ber_lower_bound(128, PA, p), rel=1e-12)
 

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,12 +12,10 @@ from sneakpath import (
     InfeasibleSFError,
     SFPattern,
     compute_sp_indicators,
-    resistance,
     resistance_map,
     sample_data,
     sample_instance,
     sample_readout,
-    sample_sf_pattern,
 )
 from sneakpath.channel import place_sfs, sample_sf_count
 
@@ -87,23 +86,25 @@ class TestSFPattern:
 
 class TestSampleSFPattern:
     def test_forced_empty(self, demo_x):
-        assert len(sample_sf_pattern(demo_x, (1.0, 0.0, 0.0), rng_of(0))) == 0
+        k = sample_sf_count((1.0, 0.0, 0.0), rng_of(0))
+        assert k == 0
+        assert len(place_sfs(demo_x, k, rng_of(0))) == 0
 
     def test_single_lands_on_a_one(self, demo_x):
         ones = {tuple(c) for c in np.argwhere(demo_x == 1)}
         for seed in range(20):
-            sf = sample_sf_pattern(demo_x, (0.0, 1.0, 0.0), rng_of(seed))
+            sf = place_sfs(demo_x, 1, rng_of(seed))
             assert sf.pairs[0] in ones
 
     def test_infeasible_double_signaled(self):
         x = np.zeros((4, 4), dtype=np.uint8)
         x[1, 2] = 1
         with pytest.raises(InfeasibleSFError):
-            sample_sf_pattern(x, (0.0, 0.0, 1.0), rng_of(0))
+            place_sfs(x, 2, rng_of(0))
 
-    def test_unnormalized_distribution_rejected(self, demo_x):
+    def test_unnormalized_distribution_rejected(self):
         with pytest.raises(ValueError):
-            sample_sf_pattern(demo_x, (0.5, 0.4, 0.2), rng_of(0))
+            sample_sf_count((0.5, 0.4, 0.2), rng_of(0))
 
     def test_double_respects_constraints(self):
         rng = rng_of(3)
@@ -186,19 +187,24 @@ class TestSPIndicators:
 
 class TestResistance:
     def test_reference_levels(self, ref_params):
-        assert resistance(1, 0, ref_params) == 100.0
-        assert resistance(0, 0, ref_params) == 1000.0
+        x = np.array([[1, 0]], dtype=np.uint8)
+        assert resistance_map(x, np.zeros_like(x), ref_params).tolist() == [[100.0, 1000.0]]
 
     def test_sneak_path_level(self):
         params = ChannelParams(r0=1000.0, r1=100.0, rs=250.0, sigma=1.0, q=0.5)
-        assert resistance(0, 1, params) == pytest.approx(200.0, abs=1e-12)
+        x = np.zeros((1, 1), dtype=np.uint8)
+        assert resistance_map(x, np.ones_like(x), params)[0, 0] == pytest.approx(200.0, abs=1e-12)
 
     def test_map_matches_scalar(self, demo_x, ref_params):
         e = compute_sp_indicators(demo_x, SFPattern(((0, 3),)))
         r = resistance_map(demo_x, e, ref_params)
         for m in range(4):
             for n in range(4):
-                assert r[m, n] == resistance(demo_x[m, n], e[m, n], ref_params)
+                if demo_x[m, n]:
+                    want = ref_params.r1
+                else:
+                    want = ref_params.r0_prime if e[m, n] else ref_params.r0
+                assert r[m, n] == want
 
     def test_stored_one_reads_r1_whatever_indicator(self, ref_params):
         x = np.array([[0, 0, 1, 1]], dtype=np.uint8)
@@ -210,13 +216,13 @@ class TestResistance:
 
 class TestReadout:
     def test_vanishing_noise(self, demo_x, ref_params):
-        params = ref_params.with_sigma(1e-12)
+        params = replace(ref_params, sigma=1e-12)
         e = compute_sp_indicators(demo_x, SFPattern(((0, 3),)))
         y = sample_readout(demo_x, e, params, rng_of(0))
         assert np.max(np.abs(y - resistance_map(demo_x, e, params))) < 1e-9
 
     def test_demo_levels(self, demo_x, ref_params):
-        params = ref_params.with_sigma(1e-9)
+        params = replace(ref_params, sigma=1e-9)
         e = compute_sp_indicators(demo_x, SFPattern(((0, 3),)))
         y = sample_readout(demo_x, e, params, rng_of(1))
         assert y[2, 1] == pytest.approx(200.0, abs=1e-6)

@@ -14,7 +14,6 @@ from sneakpath import (
     detect_baseline,
     detect_non_sf,
     estimate_sp_types,
-    mixture_density,
     resistance_map,
     sample_data,
     sample_readout,
@@ -30,17 +29,13 @@ from sneakpath.detector import (
     PATTERN_SINGLE,
     SPTypeEstimate,
     _cell_terms,
-    _completeness_terms,
     _exponent_fields,
+    _line_types,
     _log_mix,
-    _presence_terms,
-    decide_sp_types,
     double_sf_candidates,
     locate_single_sf,
     refine_uncertain_pairs,
     resolve_pairing,
-    sp_completeness_llr,
-    sp_presence_llr,
     uncertain_pair_llr,
 )
 from sneakpath.instances import ALL_KINDS, KIND_DOUBLE_11, KIND_SINGLE, make_case_instance
@@ -60,8 +55,27 @@ def make_estimate(row_types, col_types):
     )
 
 
+def mixture_density(y, a, b, c, params):
+    """Unnormalized three-component mixture at the readout levels."""
+    return np.exp(_log_mix(_exponent_fields(np.asarray(y, dtype=float), params), a, b, c))
+
+
+def presence_llr(y_line, params):
+    """First-pass LLR of one line: its presence terms summed."""
+    fields = _exponent_fields(np.asarray(y_line, dtype=float), params)
+    return float(np.sum(_cell_terms(fields, params.q)[0]))
+
+
+def completeness_llr(y_line, crossing_flags, params):
+    """Second-pass LLR of one line: completeness terms weighted by 2 x flags."""
+    fields = _exponent_fields(np.asarray(y_line, dtype=float), params)
+    weights = 2.0 * np.asarray(crossing_flags, dtype=float)
+    return float(np.sum(weights * _cell_terms(fields, params.q)[1]))
+
+
 class TestMixtureDensity:
     def test_peaks(self, ref_params):
+        # Component kernels peak at 1.
         assert mixture_density(100.0, 1.0, 0.0, 0.0, ref_params) == pytest.approx(1.0, rel=1e-12)
         assert mixture_density(1000.0, 0.0, 1.0, 0.0, ref_params) == pytest.approx(1.0, rel=1e-12)
 
@@ -69,12 +83,6 @@ class TestMixtureDensity:
         # 0.5 e^{-112.5} + 0.5 e^{-112.5} at equal distance 450 with sigma 30.
         got = mixture_density(550.0, 0.5, 0.5, 0.0, ref_params)
         assert got == pytest.approx(1.3863432936411706e-49, rel=1e-12)
-
-    def test_invalid_weights(self, ref_params):
-        with pytest.raises(ValueError):
-            mixture_density(100.0, 0.5, 0.5, 0.5, ref_params)
-        with pytest.raises(ValueError):
-            mixture_density(100.0, -0.2, 0.6, 0.6, ref_params)
 
 
 class TestTypeLLRs:
@@ -85,13 +93,13 @@ class TestTypeLLRs:
         flags_rows = (est.presence_llr_rows >= 0).astype(float) / 2.0
         flags_cols = (est.presence_llr_cols >= 0).astype(float) / 2.0
         for n in range(12):
-            assert est.presence_llr_cols[n] == pytest.approx(sp_presence_llr(y[:, n], ref_params), rel=1e-12)
+            assert est.presence_llr_cols[n] == pytest.approx(presence_llr(y[:, n], ref_params), rel=1e-12)
             assert est.completeness_llr_cols[n] == pytest.approx(
-                sp_completeness_llr(y[:, n], flags_rows, ref_params), rel=1e-12)
+                completeness_llr(y[:, n], flags_rows, ref_params), rel=1e-12)
         for m in range(12):
-            assert est.presence_llr_rows[m] == pytest.approx(sp_presence_llr(y[m, :], ref_params), rel=1e-12)
+            assert est.presence_llr_rows[m] == pytest.approx(presence_llr(y[m, :], ref_params), rel=1e-12)
             assert est.completeness_llr_rows[m] == pytest.approx(
-                sp_completeness_llr(y[m, :], flags_cols, ref_params), rel=1e-12)
+                completeness_llr(y[m, :], flags_cols, ref_params), rel=1e-12)
 
     @pytest.mark.parametrize("shape", [(256, 256), (250, 250), (400, 130)])
     def test_row_tiles_match_one_pass(self, shape):
@@ -111,12 +119,12 @@ class TestTypeLLRs:
         rng = rng_of(1)
         y = rng.normal(400.0, 250.0, 32)
         perm = rng.permutation(32)
-        assert sp_presence_llr(y, ref_params) == pytest.approx(
-            sp_presence_llr(y[perm], ref_params), rel=1e-12)
+        assert presence_llr(y, ref_params) == pytest.approx(
+            presence_llr(y[perm], ref_params), rel=1e-12)
 
     def test_no_flags_no_completeness_evidence(self, ref_params):
         y = rng_of(2).normal(500.0, 200.0, 16)
-        assert sp_completeness_llr(y, np.zeros(16), ref_params) == 0.0
+        assert completeness_llr(y, np.zeros(16), ref_params) == 0.0
 
     def test_presence_sign_separates_models(self, ref_params):
         # One-support columns give positive evidence, clear columns negative,
@@ -128,10 +136,10 @@ class TestTypeLLRs:
             u = rng.random(n)
             lvl = np.where(u < 0.5, 100.0, np.where(u < 0.75, 1000.0, 200.0))
             y = lvl + rng.normal(0, 30.0, n)
-            hits_pos += sp_presence_llr(y, ref_params) > 0
+            hits_pos += presence_llr(y, ref_params) > 0
             lvl = np.where(rng.random(n) < 0.5, 100.0, 1000.0)
             y = lvl + rng.normal(0, 30.0, n)
-            hits_neg += sp_presence_llr(y, ref_params) < 0
+            hits_neg += presence_llr(y, ref_params) < 0
         assert hits_pos / trials > 0.99
         assert hits_neg / trials > 0.99
 
@@ -145,20 +153,21 @@ class TestTypeLLRs:
             u = rng.random(n)
             lvl_full = np.where(u < 0.5, 100.0, 200.0)
             y = lvl_full + rng.normal(0, 30.0, n)
-            hits_pos += sp_completeness_llr(y, flags, ref_params) > 0
+            hits_pos += completeness_llr(y, flags, ref_params) > 0
             u = rng.random(n)
             lvl_part = np.where(u < 0.5, 100.0, np.where(u < 0.75, 1000.0, 200.0))
             y = lvl_part + rng.normal(0, 30.0, n)
-            hits_neg += sp_completeness_llr(y, flags, ref_params) < 0
+            hits_neg += completeness_llr(y, flags, ref_params) < 0
         assert hits_pos / trials > 0.99
         assert hits_neg / trials > 0.99
 
 
 class TestDecideTypes:
     def test_truth_table(self):
-        est = decide_sp_types([-3.0, 2.0, 0.0], [1.0, 1.0, -1.0], [5.0, -1.0, 0.0], [-2.0, 0.0, 9.0])
-        assert est.row_types.tolist() == [0.0, 0.5, 1.0]
-        assert est.col_types.tolist() == [0.5, 1.0, 0.0]
+        rows = _line_types(np.array([-3.0, 2.0, 0.0]), np.array([5.0, -1.0, 0.0]))
+        cols = _line_types(np.array([1.0, 1.0, -1.0]), np.array([-2.0, 0.0, 9.0]))
+        assert rows.tolist() == [0.0, 0.5, 1.0]
+        assert cols.tolist() == [0.5, 1.0, 0.0]
 
 
 class TestPatternDeclaration:
@@ -442,7 +451,7 @@ class TestFullPipeline:
         for _ in range(150):
             x, sf, e, y = sample_instance(128, params, p.as_tuple(), rng)
             prop += int((detect_array(y, params).x_hat != x).sum())
-            base += int((detect_baseline(y, params, p, threshold) != x).sum())
+            base += int((detect_baseline(y, threshold) != x).sum())
         assert prop < base
 
     def test_ber_monotone_in_noise(self):
@@ -487,8 +496,8 @@ class TestNumericalRobustness:
         for level in (params.r1, params.r0, params.r0_prime):
             y = level + ks * sigma
             fields = _exponent_fields(y, params)
-            assert np.all(np.isfinite(_presence_terms(fields, params.q)))
-            assert np.all(np.isfinite(_completeness_terms(fields, params.q)))
+            for surface in _cell_terms(fields, params.q):
+                assert np.all(np.isfinite(surface))
             assert np.all(np.isfinite(_log_mix(fields, 0.5, 0.25, 0.25)))
 
     def test_pipeline_total_on_extreme_inputs(self):

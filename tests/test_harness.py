@@ -1,4 +1,6 @@
+import hashlib
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from sneakpath.harness import (
     CSV_FIELDS,
     DETECTOR_ORACLE,
     ExperimentConfig,
-    _Counters,
     _run_chunk,
     build_config,
     load_config_file,
@@ -124,13 +125,9 @@ class TestRunExperiment:
         cfg = ExperimentConfig(n=16, sigma_list=(100.0,), trials=13, seed=3)
         threshold = optimal_threshold(cfg.params_at(100.0), cfg.sf_dist)
         whole = _run_chunk(cfg, 0, 0, 13, threshold)
-        split = {d: _Counters() for d in cfg.active_detectors()}
-        for a, b in ((0, 4), (4, 9), (9, 13)):
-            part = _run_chunk(cfg, 0, a, b, threshold)
-            for d, values in part.items():
-                split[d].add(_Counters.from_tuple(values))
+        parts = [_run_chunk(cfg, 0, a, b, threshold) for a, b in ((0, 4), (4, 9), (9, 13))]
         for d in whole:
-            assert whole[d] == split[d].as_tuple()
+            assert np.array_equal(whole[d], sum(part[d] for part in parts))
 
     def test_threshold_chosen_once_per_sigma(self, monkeypatch):
         calls = []
@@ -147,6 +144,20 @@ class TestRunExperiment:
         run_experiment(ExperimentConfig(n=16, sigma_list=(50.0,), trials=3, seed=5,
                                         detectors=("proposed",)), timer=fixed_timer)
         assert calls == []
+
+    def test_one_pool_per_sweep(self, monkeypatch):
+        pools = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        cfg = ExperimentConfig(n=16, sigma_list=(50.0, 150.0, 250.0), trials=8, seed=5,
+                               workers=2, detectors=("proposed",))
+        recs = run_experiment(cfg, timer=fixed_timer)
+        assert len(pools) == 1
+        assert [r.sigma for r in recs] == [50.0, 150.0, 250.0]
 
     def test_oracle_mode(self):
         cfg = ExperimentConfig(n=16, sigma_list=(100.0,), trials=20, seed=4,
@@ -165,6 +176,13 @@ class TestRunExperiment:
         assert rec.bound_asymptotic == pytest.approx(asymptotic_bound(PA, params), rel=1e-12)
 
 
+# SHA-256 of the CSV written by TestPersistence.test_csv_bytes_pinned.  It
+# pins every counter and the number formatting, which tests that only
+# compare runs with each other cannot: a counter that reaches the records
+# as a NumPy scalar would be written as "np.float64(...)".
+PINNED_CSV_SHA256 = "a538a80df90ee3ba1e235de4d9f963f6f28dd4f340ccf224ecaa69ae3fec2b7b"
+
+
 class TestPersistence:
     def test_header_exact(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -180,6 +198,14 @@ class TestPersistence:
         path = tmp_path / "out.csv"
         write_results(recs, str(path))
         assert read_results(str(path)) == recs
+
+    def test_csv_bytes_pinned(self, tmp_path):
+        cfg = ExperimentConfig(n=16, sigma_list=(80.0, 200.0), trials=20, seed=41)
+        recs = run_experiment(cfg, timer=fixed_timer)
+        recs += run_experiment(replace(cfg, oracle_sf=True), timer=fixed_timer)
+        path = tmp_path / "out.csv"
+        write_results(recs, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256
 
     def test_unwritable_path_raises_with_context(self):
         with pytest.raises(OSError, match="no/such/dir"):

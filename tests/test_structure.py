@@ -3,6 +3,7 @@ import pytest
 
 from sneakpath import ChannelParams, SFPattern, compute_sp_indicators, sample_data
 from sneakpath.channel import InfeasibleSFError, place_sfs
+from sneakpath.instances import make_case_library
 from sneakpath.structure import (
     COMPLETE,
     EVENT_FORMS,
@@ -12,6 +13,7 @@ from sneakpath.structure import (
     estimate_event_frequency,
     event_is_lower_bound,
     event_probability,
+    line_classes,
     sp_supports,
     verify_intersection_correspondence,
 )
@@ -115,17 +117,55 @@ class TestClassification:
             assert np.all(sup.cells.any(axis=1)[e.any(axis=1)])
             assert np.all(sup.cells.any(axis=0)[e.any(axis=0)])
 
-    def test_same_failure_support_equivalence(self):
-        # A stored 0 is a sneak-path cell iff its row and column both hold
-        # a support attributed to one common failure.
-        rng = rng_of(6)
-        for _ in range(40):
-            x, sf, e = random_double_instance(10, 0.5, rng)
-            sup = sp_supports(x, sf)
-            common = np.zeros(x.shape, dtype=bool)
-            for k in range(len(sf)):
-                common |= sup.row_has_from[k][:, None] & sup.col_has_from[k][None, :]
-            assert np.array_equal(e == 1, (x == 0) & common)
+
+class TestLineClasses:
+    def test_batch_matches_per_array_and_critical_cells(self):
+        # The reference is the module definition: a line with sneak-path
+        # cells is partial iff it holds a plain-HRS critical cell, at the
+        # crossing of a supported row and a supported column.
+        rng = rng_of(10)
+        xs, es, rows, cols = [], [], [], []
+        for t in range(60):
+            x = sample_data(9, (0.3, 0.5, 0.7)[t % 3], rng)
+            try:
+                sf = place_sfs(x, t % 3, rng)
+            except InfeasibleSFError:
+                continue
+            e = compute_sp_indicators(x, sf)
+            cells = sp_supports(x, sf).cells
+            critical = cells.any(axis=1)[:, None] & cells.any(axis=0)[None, :]
+            hrs_critical = critical & (x == 0) & (e == 0)
+            types = classify_line_types(x, e, sf)
+            for axis, got in ((1, types.row_types), (0, types.col_types)):
+                partial = hrs_critical.any(axis=axis)
+                want = np.where(e.any(axis=axis), np.where(partial, INCOMPLETE, COMPLETE), NON_SP)
+                assert np.array_equal(got, want)
+            xs.append(x)
+            es.append(e)
+            rows.append(cells.any(axis=1))
+            cols.append(cells.any(axis=0))
+        batch = line_classes(np.stack(xs), np.stack(es), np.stack(rows), np.stack(cols))
+        for k in range(len(xs)):
+            single = line_classes(xs[k], es[k], rows[k], cols[k])
+            assert np.array_equal(batch.row_types[k], single.row_types)
+            assert np.array_equal(batch.col_types[k], single.col_types)
+
+    def test_noiseless_view_matches_literal_on_library(self):
+        for inst in make_case_library(sizes=(16, 32)):
+            view = line_classes(inst.x, inst.e, inst.e.any(axis=1), inst.e.any(axis=0))
+            assert np.array_equal(view.row_types, inst.types.row_types), inst.kind
+            assert np.array_equal(view.col_types, inst.types.col_types), inst.kind
+
+    def test_views_differ_on_small_double(self):
+        rng = rng_of(11)
+        for _ in range(100):
+            x, sf, e = random_double_instance(8, 0.5, rng)
+            literal = classify_line_types(x, e, sf)
+            view = line_classes(x, e, e.any(axis=1), e.any(axis=0))
+            if not (np.array_equal(view.row_types, literal.row_types)
+                    and np.array_equal(view.col_types, literal.col_types)):
+                return
+        pytest.fail("the two views agreed on 100 random 8x8 double-failure arrays")
 
 
 class TestIntersectionCorrespondence:
