@@ -104,7 +104,7 @@ def line_classes(
     :func:`classify_line_types`, the lines holding sneak-path cells for the
     view of the vanishing-noise detector (see :mod:`sneakpath.instances`).
     """
-    plain_hrs = (x == 0) & (e == 0)
+    plain_hrs = ~np.logical_or(x, e)
     partial_rows = (plain_hrs & cross_cols[..., None, :]).any(axis=-1)
     partial_cols = (plain_hrs & cross_rows[..., :, None]).any(axis=-2)
     return LineTypes(
