@@ -68,7 +68,7 @@ class SPTypeEstimate:
     presence_llr_cols: np.ndarray
     completeness_llr_rows: np.ndarray
     completeness_llr_cols: np.ndarray
-    sneak_llr: np.ndarray | None = None
+    sneak_llr: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -185,6 +185,13 @@ def estimate_sp_types(y: np.ndarray, params: ChannelParams) -> SPTypeEstimate:
     )
 
 
+def _transposed(est: SPTypeEstimate) -> SPTypeEstimate:
+    """The estimate of the transposed readout: rows and columns swap roles."""
+    return SPTypeEstimate(est.col_types, est.row_types, est.presence_llr_cols,
+                          est.presence_llr_rows, est.completeness_llr_cols,
+                          est.completeness_llr_rows, est.sneak_llr.T)
+
+
 def classify_sf_pattern(est: SPTypeEstimate) -> str:
     """Propose the largest failure count the estimated line classes allow.
 
@@ -218,21 +225,25 @@ def _restricted_argmin(values: np.ndarray, mask: np.ndarray) -> int:
     return int(idx[np.argmin(values[idx])])
 
 
-def locate_single_sf(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
-    """Find the single failed cell and read off its row and column bits.
+def _failed_row(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
+    """The failed row of a single failure, and its bits off the failed column.
 
     The failed row must be class 0, and its bits mirror the column classes
     (a fully affected column crosses the failed row at a stored 1), so the
     class-0 row whose readout best matches the class profile wins.
     """
-    col_levels = np.where(est.col_types == 1.0, params.r1, params.r0)
-    row_levels = np.where(est.row_types == 1.0, params.r1, params.r0)
-    row_resid = ((y - col_levels[None, :]) ** 2).sum(axis=1)
-    col_resid = ((y - row_levels[:, None]) ** 2).sum(axis=0)
-    i = _restricted_argmin(row_resid, est.row_types == 0.0)
-    j = _restricted_argmin(col_resid, est.col_types == 0.0)
-    row_bits = (est.col_types == 1.0).astype(np.uint8)
-    col_bits = (est.row_types == 1.0).astype(np.uint8)
+    levels = np.where(est.col_types == 1.0, params.r1, params.r0)
+    resid = ((y - levels[None, :]) ** 2).sum(axis=1)
+    return _restricted_argmin(resid, est.row_types == 0.0), (est.col_types == 1.0).astype(np.uint8)
+
+
+def locate_single_sf(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
+    """Find the single failed cell and read off its row and column bits.
+
+    The failed column is the failed row of the transposed readout.
+    """
+    i, row_bits = _failed_row(y, est, params)
+    j, col_bits = _failed_row(y.T, _transposed(est), params)
     row_bits[j] = 1
     col_bits[i] = 1
     return i, j, row_bits, col_bits
@@ -251,38 +262,33 @@ def _top2(scores: np.ndarray, mask: np.ndarray) -> tuple[int, int]:
     return int(order[0]), int(order[1])
 
 
-def double_sf_candidates(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
-    """Score every non-ambiguous line as a potential failure line, keep two.
+def _candidate_rows(d1, d0, mix10, mix1p, est: SPTypeEstimate) -> tuple[int, int]:
+    """The two rows that best match a failure row, given the per-cell log-kernels.
 
     A candidate row is scored against the column classes: class-0 columns
     should read r0, class-1 columns r1, and ambiguous columns split between
     r1 and either r0 (candidate row clear) or r0' (candidate row fully
     affected, which puts a sneak path under its stored 0s).
     """
-    fields = _exponent_fields(np.asarray(y, dtype=float), params)
-    d1, d0, dp = fields
-    half = math.log(0.5)
-    mix10 = np.logaddexp(d1, d0) + half
-    mix1p = np.logaddexp(d1, dp) + half
-
     ct = est.col_types
     rt = est.row_types
-    base_r = np.where(ct == 1.0, d1, np.where(ct == 0.0, d0, mix10))
-    row_scores = base_r.sum(axis=1)
+    scores = np.where(ct == 1.0, d1, np.where(ct == 0.0, d0, mix10)).sum(axis=1)
     half_cols = ct == 0.5
     if half_cols.any():
-        adjust = (mix1p - mix10)[:, half_cols].sum(axis=1)
-        row_scores = row_scores + (rt == 1.0) * adjust
-    i1, i2 = _top2(row_scores, rt != 0.5)
+        scores = scores + (rt == 1.0) * (mix1p - mix10)[:, half_cols].sum(axis=1)
+    return _top2(scores, rt != 0.5)
 
-    base_c = np.where(rt[:, None] == 1.0, d1, np.where(rt[:, None] == 0.0, d0, mix10))
-    col_scores = base_c.sum(axis=0)
-    half_rows = rt == 0.5
-    if half_rows.any():
-        adjust = (mix1p - mix10)[half_rows, :].sum(axis=0)
-        col_scores = col_scores + (ct == 1.0) * adjust
-    j1, j2 = _top2(col_scores, ct != 0.5)
-    return (i1, i2), (j1, j2)
+
+def double_sf_candidates(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
+    """Score every non-ambiguous line as a potential failure line, keep two.
+
+    The candidate columns are the candidate rows of the transposed readout.
+    """
+    d1, d0, dp = _exponent_fields(np.asarray(y, dtype=float), params)
+    half = math.log(0.5)
+    kernels = (d1, d0, np.logaddexp(d1, d0) + half, np.logaddexp(d1, dp) + half)
+    return (_candidate_rows(*kernels, est),
+            _candidate_rows(*(k.T for k in kernels), _transposed(est)))
 
 
 def _hrs_level(line_type: float, params: ChannelParams) -> float:
@@ -295,26 +301,19 @@ def uncertain_pair_llr(
     pair: tuple[int, int],
     pair_types: tuple[float, float],
     params: ChannelParams,
-    axis: str = "rows",
 ) -> np.ndarray:
-    """Per-crossing LLR of (first holds 0, second holds 1) vs the swap.
+    """Per-crossing LLR of (first row holds 0, second holds 1) vs the swap.
 
-    For a row pair the result is indexed by column (and vice versa).  The
-    stored-0 level of each line depends on its class: a fully affected
-    failure line reads r0' on its zeros at ambiguous crossings, a clear one
-    reads r0.  Swapping the pair negates the result.
+    The result is indexed by column; a column pair's is that of the
+    transposed readout.  The stored-0 level of each line depends on its
+    class: a fully affected failure line reads r0' on its zeros at ambiguous
+    crossings, a clear one reads r0.  Swapping the pair negates the result.
     """
     ra = _hrs_level(pair_types[0], params)
     rb = _hrs_level(pair_types[1], params)
     r1 = params.r1
     s2 = 2.0 * params.sigma**2
-    if axis == "rows":
-        ya, yb = y[pair[0], :], y[pair[1], :]
-    elif axis == "cols":
-        ya, yb = y[:, pair[0]], y[:, pair[1]]
-    else:
-        raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
-    return (2.0 * ya * (ra - r1) - 2.0 * yb * (rb - r1) + rb**2 - ra**2) / s2
+    return (2.0 * y[pair[0]] * (ra - r1) - 2.0 * y[pair[1]] * (rb - r1) + rb**2 - ra**2) / s2
 
 
 def _pair_bits(line_types: np.ndarray, pair_llr: np.ndarray) -> np.ndarray:
@@ -415,23 +414,22 @@ def refine_uncertain_pairs(
     unc_cols = unc_cols[~np.isin(unc_cols, j_pair_ordered)]
     unc_rows = np.flatnonzero(est.row_types == 0.5)
     unc_rows = unc_rows[~np.isin(unc_rows, i_pair)]
-    l2_rows = row_pair_llr.astype(float).copy()
-    l2_cols = col_pair_llr.astype(float).copy()
+    l2_rows = row_pair_llr.astype(float)
+    l2_cols = col_pair_llr.astype(float)
     if unc_cols.size == 0 or unc_rows.size == 0:
         return l2_rows, l2_cols
     sub = np.asarray(y, dtype=float)[np.ix_(unc_rows, unc_cols)]
     lg_clear, lg_sp = _clear_and_capable(_exponent_fields(sub, params), params.q)
-    prior_c = col_pair_llr[unc_rows][:, None]
-    msg_to_rows = np.logaddexp(prior_c + lg_sp, lg_clear) - np.logaddexp(
-        prior_c + lg_clear, lg_sp
-    )
-    l2_rows[unc_cols] += msg_to_rows.sum(axis=0)
-    prior_r = row_pair_llr[unc_cols][None, :]
-    msg_to_cols = np.logaddexp(prior_r + lg_sp, lg_clear) - np.logaddexp(
-        prior_r + lg_clear, lg_sp
-    )
-    l2_cols[unc_rows] += msg_to_cols.sum(axis=1)
+    l2_rows[unc_cols] += _messages_to_row_pair(col_pair_llr[unc_rows], lg_clear, lg_sp)
+    l2_cols[unc_rows] += _messages_to_row_pair(row_pair_llr[unc_cols], lg_clear.T, lg_sp.T)
     return l2_rows, l2_cols
+
+
+def _messages_to_row_pair(col_pair_llr: np.ndarray, lg_clear: np.ndarray, lg_sp: np.ndarray):
+    """Per column, the messages to the row pair summed over rows (column-pair LLR per row)."""
+    prior = col_pair_llr[:, None]
+    msg = np.logaddexp(prior + lg_sp, lg_clear) - np.logaddexp(prior + lg_clear, lg_sp)
+    return msg.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -464,17 +462,23 @@ def detect_non_sf(
     return bits
 
 
-def _detect_single(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
-    i, j, row_bits, col_bits = locate_single_sf(y, est, params)
-    # One failure leaves no line partially affected.  Such lines (the class
-    # pattern proposed two failures) get the crossing bit whose
-    # sneak-path-capable cells the readout supports.
+def _settle_partial_cols(row_bits, col_bits, j: int, est: SPTypeEstimate) -> None:
+    """Set the failed row's bits on the partially affected columns but ``j``.
+
+    One failure leaves no line partially affected.  Such lines (the class
+    pattern proposed two failures) get the crossing bit whose
+    sneak-path-capable cells the readout supports: a 1 at column n makes
+    (m, n) capable for every m where the failed column ``col_bits`` holds 1.
+    """
     half_cols = est.col_types == 0.5
     half_cols[j] = False
     row_bits[half_cols] = (col_bits @ est.sneak_llr)[half_cols] > 0.0
-    half_rows = est.row_types == 0.5
-    half_rows[i] = False
-    col_bits[half_rows] = (est.sneak_llr @ row_bits)[half_rows] > 0.0
+
+
+def _detect_single(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
+    i, j, row_bits, col_bits = locate_single_sf(y, est, params)
+    _settle_partial_cols(row_bits, col_bits, j, est)
+    _settle_partial_cols(col_bits, row_bits, i, _transposed(est))
     x_sf = np.zeros(y.shape, dtype=np.uint8)
     x_sf[i, :] = row_bits
     x_sf[:, j] = col_bits
@@ -485,10 +489,8 @@ def _detect_double(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
     i_pair, j_pair = double_sf_candidates(y, est, params)
     i1, i2 = i_pair
     j1, j2 = j_pair
-    ti = (float(est.row_types[i1]), float(est.row_types[i2]))
-    tj = (float(est.col_types[j1]), float(est.col_types[j2]))
-    row_llr = uncertain_pair_llr(y, i_pair, ti, params, axis="rows")
-    col_llr = uncertain_pair_llr(y, j_pair, tj, params, axis="cols")
+    row_llr = uncertain_pair_llr(y, i_pair, tuple(est.row_types[list(i_pair)]), params)
+    col_llr = uncertain_pair_llr(y.T, j_pair, tuple(est.col_types[list(j_pair)]), params)
     row_bits = _pair_bits(est.col_types, row_llr)
     col_bits = _pair_bits(est.row_types, col_llr)
 
@@ -507,12 +509,9 @@ def _detect_double(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
         row_bits = _pair_bits(est.col_types, row_llr)
     col_bits_ordered = _pair_bits(est.row_types, col_llr_ordered)
 
-    n = y.shape[0]
-    x_sf = np.zeros((n, n), dtype=np.uint8)
-    x_sf[i1, :] = row_bits[0]
-    x_sf[i2, :] = row_bits[1]
-    x_sf[:, ja] = col_bits_ordered[0]
-    x_sf[:, jb] = col_bits_ordered[1]
+    x_sf = np.zeros(y.shape, dtype=np.uint8)
+    x_sf[[i1, i2]] = row_bits
+    x_sf.T[[ja, jb]] = col_bits_ordered
     # Failed cells store 1 by definition; the other two crossings follow the
     # class correspondence (fully affected line <=> crossing stores 1).
     x_sf[i1, ja] = 1

@@ -70,54 +70,57 @@ def _no_saturated_lines(x: np.ndarray) -> bool:
     return not (x.all(axis=0).any() or x.all(axis=1).any())
 
 
-def _line_penalties(x: np.ndarray, e: np.ndarray, types_across: np.ndarray, axis: int):
-    """Noiseless matching penalty of every line against the class profile.
+def _line_penalties(x: np.ndarray, e: np.ndarray, col_types: np.ndarray):
+    """Noiseless matching penalty of every row against the column classes.
 
-    A line is scored position-by-position against the orthogonal classes:
-    positions whose class is 1 expect a stored 1 (reading r1), class 0
-    expects a stored 0 (reading r0); ambiguous positions carry no
-    preference.  A mismatch costs (r0 - r1)^2 unless the cell actually
-    reads the sneak-path level, which costs (r0' - r1)^2 -- a factor 81
-    smaller at the default levels.  Returned in units of the smaller cost.
+    A row is scored position-by-position: columns whose class is 1 expect a
+    stored 1 (reading r1), class 0 expects a stored 0 (reading r0);
+    ambiguous columns carry no preference.  A mismatch costs (r0 - r1)^2
+    unless the cell actually reads the sneak-path level, which costs
+    (r0' - r1)^2 -- a factor 81 smaller at the default levels.  Returned in
+    units of the smaller cost.
     """
-    profile = types_across == COMPLETE
-    det = types_across != INCOMPLETE
-    bits = (x if axis == 0 else x.T).astype(bool)[:, det]
-    sp = (e if axis == 0 else e.T).astype(bool)[:, det]
+    profile = col_types == COMPLETE
+    det = col_types != INCOMPLETE
+    bits = x.astype(bool)[:, det]
+    sp = e.astype(bool)[:, det]
     mismatch = bits != profile[det][None, :]
     small = mismatch & profile[det][None, :] & sp
     return np.where(mismatch, np.where(small, 1, 81), 0).sum(axis=1)
 
 
-def _impostor_margin_ok(
-    x: np.ndarray,
-    e: np.ndarray,
-    types_along: np.ndarray,
-    types_across: np.ndarray,
-    true_lines: tuple[int, ...],
-    axis: int,
-    eligible: np.ndarray,
-) -> bool:
-    """Every true failure line must beat every other candidate line strictly.
+def _impostor_margin_ok(x: np.ndarray, e: np.ndarray, col_types: np.ndarray,
+                        true_rows: tuple[int, ...], eligible: np.ndarray) -> bool:
+    """Every true failure row must beat every other candidate row strictly.
 
-    ``eligible`` marks the lines the localization step may pick from.  With
+    ``eligible`` marks the rows the localization step may pick from.  With
     equal penalties the lower index would win, so ties are rejected too.
     """
-    pen = _line_penalties(x, e, types_across, axis)
-    worst_true = pen[list(true_lines)].max()
+    pen = _line_penalties(x, e, col_types)
+    worst_true = pen[list(true_rows)].max()
     others = eligible.copy()
-    others[list(true_lines)] = False
+    others[list(true_rows)] = False
     if not others.any():
         return True
     return bool(pen[others].min() > worst_true)
 
 
+def _single_sf_row_premises(x, e, support_cells, row_types, col_types, i: int) -> bool:
+    """Single-failure premises on the rows; the columns' are those of the transpose."""
+    row_sup = support_cells.any(axis=1)
+    # The failure must leave traces on both axes, else it is invisible.
+    if not row_sup[i]:
+        return False
+    # Every supported non-failure line must close at least one sneak path.
+    row_sup[i] = False
+    if not np.all(row_types[row_sup] == COMPLETE):
+        return False
+    return _impostor_margin_ok(x, e, col_types, (i,), row_types == NON_SP)
+
+
 def _single_sf_premises(x: np.ndarray, sf: SFPattern, e: np.ndarray) -> bool:
     (i, j) = sf.pairs[0]
-    sup = sp_supports(x, sf)
-    # The failure must leave traces on both axes, else it is invisible.
-    if sup.row_counts[i] == 0 or sup.col_counts[j] == 0:
-        return False
+    sup = sp_supports(x, sf).cells
     # Line classes as the vanishing-noise pipeline sees them: its second
     # classification pass only weighs crossings with lines that hold
     # sneak-path cells, so a line whose only plain-HRS crossing sits on a
@@ -126,16 +129,27 @@ def _single_sf_premises(x: np.ndarray, sf: SFPattern, e: np.ndarray) -> bool:
     # coincide asymptotically and on every instance this module emits.
     view = line_classes(x, e, e.any(axis=1), e.any(axis=0))
     rt, ct = view.row_types, view.col_types
-    # Every supported non-failure line must close at least one sneak path.
-    row_sup = sup.cells.any(axis=1)
-    col_sup = sup.cells.any(axis=0)
-    if not np.all(rt[row_sup & (np.arange(x.shape[0]) != i)] == COMPLETE):
+    return (_single_sf_row_premises(x, e, sup, rt, ct, i)
+            and _single_sf_row_premises(x.T, e.T, sup.T, ct, rt, j))
+
+
+def _double_sf_row_premises(x, e, support_counts, row_types, col_types, rows, cross) -> bool:
+    """Double-failure premises on the rows; the columns' are those of the transpose.
+
+    ``cross[k]`` is the bit where failed row ``rows[k]`` crosses the other
+    failure's column.
+    """
+    others = np.ones(x.shape[0], dtype=bool)
+    others[list(rows)] = False
+    # Non-failure lines: support count 1 <=> partially affected, 2 <=> fully.
+    expect = np.where(support_counts == 0, NON_SP,
+                      np.where(support_counts == 1, INCOMPLETE, COMPLETE))
+    if not np.all(row_types[others] == expect[others]):
         return False
-    if not np.all(ct[col_sup & (np.arange(x.shape[0]) != j)] == COMPLETE):
+    # Failure lines: crossing bit 1 <=> fully affected, 0 <=> clear.
+    if any(row_types[r] != (COMPLETE if bit else NON_SP) for r, bit in zip(rows, cross)):
         return False
-    if not _impostor_margin_ok(x, e, rt, ct, (i,), 0, rt == NON_SP):
-        return False
-    return _impostor_margin_ok(x, e, ct, rt, (j,), 1, ct == NON_SP)
+    return _impostor_margin_ok(x, e, col_types, rows, row_types != INCOMPLETE)
 
 
 def _double_sf_premises(x: np.ndarray, sf: SFPattern, e: np.ndarray, cross) -> bool:
@@ -143,36 +157,15 @@ def _double_sf_premises(x: np.ndarray, sf: SFPattern, e: np.ndarray, cross) -> b
     if (int(x[i, jp]), int(x[ip, j])) != cross:
         return False
     sup = sp_supports(x, sf)
-    n = x.shape[0]
     # The noiseless view, as in _single_sf_premises.
     view = line_classes(x, e, e.any(axis=1), e.any(axis=0))
     rt, ct = view.row_types, view.col_types
-    others_r = np.ones(n, dtype=bool)
-    others_r[[i, ip]] = False
-    others_c = np.ones(n, dtype=bool)
-    others_c[[j, jp]] = False
-    # Non-failure lines: support count 1 <=> partially affected, 2 <=> fully.
-    expect_r = np.where(sup.row_counts == 0, NON_SP, np.where(sup.row_counts == 1, INCOMPLETE, COMPLETE))
-    expect_c = np.where(sup.col_counts == 0, NON_SP, np.where(sup.col_counts == 1, INCOMPLETE, COMPLETE))
-    if not np.all(rt[others_r] == expect_r[others_r]):
-        return False
-    if not np.all(ct[others_c] == expect_c[others_c]):
-        return False
-    # Failure lines: crossing bit 1 <=> fully affected, 0 <=> clear.
-    for line_t, bit in (
-        (rt[i], cross[0]),
-        (ct[jp], cross[0]),
-        (rt[ip], cross[1]),
-        (ct[j], cross[1]),
-    ):
-        if line_t != (COMPLETE if bit else NON_SP):
-            return False
     # The pattern is only declared double if some line is partially affected.
     if not (np.any(rt == INCOMPLETE) or np.any(ct == INCOMPLETE)):
         return False
-    if not _impostor_margin_ok(x, e, rt, ct, (i, ip), 0, rt != INCOMPLETE):
-        return False
-    if not _impostor_margin_ok(x, e, ct, rt, (j, jp), 1, ct != INCOMPLETE):
+    # Row i crosses column j' at cross[0], row i' column j at cross[1].
+    if not (_double_sf_row_premises(x, e, sup.row_counts, rt, ct, (i, ip), cross)
+            and _double_sf_row_premises(x.T, e.T, sup.col_counts, ct, rt, (j, jp), cross[::-1])):
         return False
     if cross == (1, 1):
         # The swapped pairing must contradict at least one plain-HRS cell.

@@ -313,14 +313,15 @@ def test_criterion_9_numerical_robustness():
                 ok &= bool(np.all(np.isfinite(s)))
                 worst = max(worst, float(np.max(np.abs(s))))
         ymat = params.r1 + np.outer(np.linspace(-1000, 1000, 8), np.ones(8)) * sigma
-        row_llr = uncertain_pair_llr(ymat, (0, 1), (0.0, 1.0), params, axis="rows")
-        col_llr = uncertain_pair_llr(ymat, (0, 1), (1.0, 0.0), params, axis="cols")
+        row_llr = uncertain_pair_llr(ymat, (0, 1), (0.0, 1.0), params)
+        col_llr = uncertain_pair_llr(ymat.T, (0, 1), (1.0, 0.0), params)
         from sneakpath.detector import SPTypeEstimate
         est = SPTypeEstimate(
             row_types=np.array([0, 1, 0.5, 0.5, 0, 0, 0, 0.5]),
             col_types=np.array([1, 0, 0.5, 0.5, 0, 0, 0.5, 0]),
             presence_llr_rows=np.zeros(8), presence_llr_cols=np.zeros(8),
-            completeness_llr_rows=np.zeros(8), completeness_llr_cols=np.zeros(8))
+            completeness_llr_rows=np.zeros(8), completeness_llr_cols=np.zeros(8),
+            sneak_llr=np.zeros((8, 8)))
         l2r, l2c = refine_uncertain_pairs(ymat, est, (0, 1), (0, 1), row_llr, col_llr, params)
         ok &= bool(np.all(np.isfinite(row_llr)) and np.all(np.isfinite(col_llr)))
         ok &= bool(np.all(np.isfinite(l2r)) and np.all(np.isfinite(l2c)))

@@ -52,6 +52,7 @@ def make_estimate(row_types, col_types):
         col_types=np.asarray(col_types, float),
         presence_llr_rows=z, presence_llr_cols=z,
         completeness_llr_rows=z, completeness_llr_cols=z,
+        sneak_llr=np.zeros((len(row_types), len(col_types))),
     )
 
 
@@ -291,22 +292,22 @@ class TestPairLLR:
         y = np.zeros((2, 3))
         y[0] = [1000.0, 100.0, 550.0]
         y[1] = [100.0, 1000.0, 550.0]
-        llr = uncertain_pair_llr(y, (0, 1), (0.0, 0.0), ref_params, axis="rows")
+        llr = uncertain_pair_llr(y, (0, 1), (0.0, 0.0), ref_params)
         s2 = 2.0 * ref_params.sigma**2
         assert llr[0] == pytest.approx(1620000.0 / s2, rel=1e-12)
         assert llr[1] == pytest.approx(-1620000.0 / s2, rel=1e-12)
 
     def test_equal_readings_cancel(self, ref_params):
         y = np.full((2, 4), 321.0)
-        llr = uncertain_pair_llr(y, (0, 1), (1.0, 1.0), ref_params, axis="rows")
+        llr = uncertain_pair_llr(y, (0, 1), (1.0, 1.0), ref_params)
         assert np.allclose(llr, 0.0, atol=1e-12)
 
     def test_swap_negates(self, ref_params):
         rng = rng_of(7)
         y = rng.normal(500, 300, (6, 6))
         for types in ((0.0, 0.0), (1.0, 1.0), (1.0, 0.0)):
-            a = uncertain_pair_llr(y, (2, 4), types, ref_params, axis="cols")
-            b = uncertain_pair_llr(y, (4, 2), types[::-1], ref_params, axis="cols")
+            a = uncertain_pair_llr(y.T, (2, 4), types, ref_params)
+            b = uncertain_pair_llr(y.T, (4, 2), types[::-1], ref_params)
             assert np.allclose(a, -b, rtol=1e-12)
 
 
@@ -389,8 +390,8 @@ class TestRefinement:
             (i1, j1), (i2, j2) = res.hypothesis.locations
             ti = (float(est.row_types[i1]), float(est.row_types[i2]))
             tj = (float(est.col_types[j1]), float(est.col_types[j2]))
-            row_llr = uncertain_pair_llr(y, (i1, i2), ti, params, axis="rows")
-            col_llr = uncertain_pair_llr(y, (j1, j2), tj, params, axis="cols")
+            row_llr = uncertain_pair_llr(y, (i1, i2), ti, params)
+            col_llr = uncertain_pair_llr(y.T, (j1, j2), tj, params)
             l2r, l2c = refine_uncertain_pairs(y, est, (i1, i2), (j1, j2), row_llr, col_llr, params)
             unc = est.col_types == 0.5
             truth = inst.x[i1, unc] == 0
@@ -516,8 +517,8 @@ class TestNumericalRobustness:
         rng = rng_of(seed)
         y = params.r1 + rng.uniform(-1000.0, 1000.0, (8, 8)) * sigma
         est = make_estimate([0, 1, 0.5, 0.5, 0, 0, 0, 0], [1, 0, 0.5, 0.5, 0, 0, 0, 0])
-        row_llr = uncertain_pair_llr(y, (0, 1), (0.0, 1.0), params, axis="rows")
-        col_llr = uncertain_pair_llr(y, (0, 1), (1.0, 0.0), params, axis="cols")
+        row_llr = uncertain_pair_llr(y, (0, 1), (0.0, 1.0), params)
+        col_llr = uncertain_pair_llr(y.T, (0, 1), (1.0, 0.0), params)
         assert np.all(np.isfinite(row_llr)) and np.all(np.isfinite(col_llr))
         l2r, l2c = refine_uncertain_pairs(y, est, (0, 1), (0, 1), row_llr, col_llr, params)
         assert np.all(np.isfinite(l2r)) and np.all(np.isfinite(l2c))
