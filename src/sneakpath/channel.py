@@ -143,19 +143,24 @@ def place_sfs(x: np.ndarray, k: int, rng: np.random.Generator) -> SFPattern:
     return SFPattern(((int(rows[a]), int(cols[a])), (int(rows[b]), int(cols[b]))))
 
 
-def compute_sp_indicators(x: np.ndarray, sf: SFPattern) -> np.ndarray:
-    """Mark every sneak-path cell of ``x`` under the failure pattern ``sf``.
+def _sp_cells(x: np.ndarray, pairs) -> np.ndarray:
+    """Sneak-path cells of bit arrays of shape (..., N, N) under failures ``pairs``.
 
     Cell (m, n) is a sneak-path cell iff it stores a 0 and some active
     failure (i, j) has x[i, n] = x[m, j] = 1, closing the 3-cell path
-    (m, n) -> (m, j) -> (i, j) -> (i, n).  Returns a uint8 matrix.
+    (m, n) -> (m, j) -> (i, j) -> (i, n).  Returns a bool array.
     """
+    ones = np.asarray(x, dtype=bool)
+    e = np.zeros_like(ones)
+    for (i, j) in pairs:
+        e |= ones[..., :, j, None] & ones[..., None, i, :]
+    return e & ~ones
+
+
+def compute_sp_indicators(x: np.ndarray, sf: SFPattern) -> np.ndarray:
+    """Mark every sneak-path cell of ``x`` under ``sf`` as a uint8 matrix."""
     sf.validate_against(x)
-    e = np.zeros_like(x, dtype=np.uint8)
-    for (i, j) in sf.pairs:
-        e |= np.outer(x[:, j], x[i, :])
-    e &= x == 0
-    return e
+    return _sp_cells(x, sf.pairs).astype(np.uint8)
 
 
 def resistance_map(x: np.ndarray, e: np.ndarray, params: ChannelParams) -> np.ndarray:

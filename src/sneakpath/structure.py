@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SFPattern
+from .channel import SFPattern, _sp_cells
 
 NON_SP = 0.0
 INCOMPLETE = 0.5
@@ -324,10 +324,7 @@ def estimate_event_frequency(event: str, n: int, q: float, trials: int, seed: in
         for (i, j) in sf_cells:
             bits[:, i, j] = 1
         ones = bits.astype(bool)
-        e = np.zeros_like(ones)
-        for (i, j) in sf_cells:
-            e |= ones[:, :, j, None] & ones[:, None, i, :]
-        e &= ~ones
+        e = _sp_cells(ones, sf_cells)
         sup = _support_cells(ones, sf_cells)
         types = line_classes(ones, e, sup.any(axis=-1), sup.any(axis=-2))
         cond, succ = _event_masks(event, bits, types.row_types, types.col_types)
