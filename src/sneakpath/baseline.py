@@ -47,13 +47,21 @@ def optimal_threshold(
     point lies within one stride of the first minimum of the whole grid, and
     searching that window returns the same grid point from about 2% of the
     evaluations (the tests compare both over q, priors and sigma from 1e-3
-    to 5e3).
+    to 5e3).  Only the evaluated points are built.
     """
-    ts = np.linspace(params.r1, params.r0, grid_points)
-    c = int(np.argmin(marginal_error(ts[::_COARSE_STRIDE], params, p))) * _COARSE_STRIDE
-    lo = max(c - _COARSE_STRIDE, 0)
-    window = ts[lo:c + _COARSE_STRIDE + 1]
-    return float(ts[lo + int(np.argmin(marginal_error(window, params, p)))])
+    if grid_points < 2:
+        raise ValueError(f"need at least 2 grid points, got {grid_points}")
+    last = grid_points - 1
+    step = (params.r0 - params.r1) / last
+
+    def grid(k):
+        # Points k of np.linspace(r1, r0, grid_points), bit for bit.
+        return np.where(k == last, params.r0, k * step + params.r1)
+
+    coarse = grid(np.arange(0, grid_points, _COARSE_STRIDE))
+    c = int(np.argmin(marginal_error(coarse, params, p))) * _COARSE_STRIDE
+    window = grid(np.arange(max(c - _COARSE_STRIDE, 0), min(c + _COARSE_STRIDE + 1, grid_points)))
+    return float(window[int(np.argmin(marginal_error(window, params, p)))])
 
 
 def detect_baseline(y: np.ndarray, threshold: float) -> np.ndarray:
