@@ -49,8 +49,6 @@ def optimal_threshold(
     evaluations (the tests compare both over q, priors and sigma from 1e-3
     to 5e3).  Only the evaluated points are built.
     """
-    if grid_points < 2:
-        raise ValueError(f"need at least 2 grid points, got {grid_points}")
     last = grid_points - 1
     step = (params.r0 - params.r1) / last
 

@@ -21,6 +21,9 @@ The pipeline works on one noisy readout matrix at a time:
    thresholds, depending on whether the recovered failure lines make the
    cell sneak-path-capable.
 
+Each step is written for rows and applied to the transposed readout for
+columns, so transposing the readout transposes every decision.
+
 Everything is computed in the log domain; all LLRs stay finite for finite
 inputs regardless of how many noise standard deviations separate a sample
 from the nearest resistance level.
@@ -238,10 +241,7 @@ def _failed_row(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
 
 
 def locate_single_sf(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
-    """Find the single failed cell and read off its row and column bits.
-
-    The failed column is the failed row of the transposed readout.
-    """
+    """Find the single failed cell and read off its row and column bits."""
     i, row_bits = _failed_row(y, est, params)
     j, col_bits = _failed_row(y.T, _transposed(est), params)
     row_bits[j] = 1
@@ -280,20 +280,12 @@ def _candidate_rows(d1, d0, mix10, mix1p, est: SPTypeEstimate) -> tuple[int, int
 
 
 def double_sf_candidates(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
-    """Score every non-ambiguous line as a potential failure line, keep two.
-
-    The candidate columns are the candidate rows of the transposed readout.
-    """
+    """Score every non-ambiguous line as a potential failure line, keep two."""
     d1, d0, dp = _exponent_fields(np.asarray(y, dtype=float), params)
     half = math.log(0.5)
     kernels = (d1, d0, np.logaddexp(d1, d0) + half, np.logaddexp(d1, dp) + half)
     return (_candidate_rows(*kernels, est),
             _candidate_rows(*(k.T for k in kernels), _transposed(est)))
-
-
-def _hrs_level(line_type: float, params: ChannelParams) -> float:
-    """Readout level of a stored 0 on a candidate line of the given class."""
-    return params.r0_prime if line_type == 1.0 else params.r0
 
 
 def uncertain_pair_llr(
@@ -309,8 +301,7 @@ def uncertain_pair_llr(
     class: a fully affected failure line reads r0' on its zeros at ambiguous
     crossings, a clear one reads r0.  Swapping the pair negates the result.
     """
-    ra = _hrs_level(pair_types[0], params)
-    rb = _hrs_level(pair_types[1], params)
+    ra, rb = (params.r0_prime if t == 1.0 else params.r0 for t in pair_types)
     r1 = params.r1
     s2 = 2.0 * params.sigma**2
     return (2.0 * y[pair[0]] * (ra - r1) - 2.0 * y[pair[1]] * (rb - r1) + rb**2 - ra**2) / s2
@@ -410,10 +401,8 @@ def refine_uncertain_pairs(
     ``col_pair_llr`` must be ordered consistently with ``j_pair_ordered``.
     Returns updated (row_pair_llr, col_pair_llr).
     """
-    unc_cols = np.flatnonzero(est.col_types == 0.5)
-    unc_cols = unc_cols[~np.isin(unc_cols, j_pair_ordered)]
-    unc_rows = np.flatnonzero(est.row_types == 0.5)
-    unc_rows = unc_rows[~np.isin(unc_rows, i_pair)]
+    unc_cols = np.setdiff1d(np.flatnonzero(est.col_types == 0.5), j_pair_ordered)
+    unc_rows = np.setdiff1d(np.flatnonzero(est.row_types == 0.5), i_pair)
     l2_rows = row_pair_llr.astype(float)
     l2_cols = col_pair_llr.astype(float)
     if unc_cols.size == 0 or unc_rows.size == 0:
@@ -462,26 +451,33 @@ def detect_non_sf(
     return bits
 
 
-def _settle_partial_cols(row_bits, col_bits, j: int, est: SPTypeEstimate) -> None:
-    """Set the failed row's bits on the partially affected columns but ``j``.
+def _settle_partial_cols(row_bits, col_bits, j: int, est: SPTypeEstimate):
+    """The failed row's bits, settled on the partially affected columns but ``j``.
 
     One failure leaves no line partially affected.  Such lines (the class
     pattern proposed two failures) get the crossing bit whose
-    sneak-path-capable cells the readout supports: a 1 at column n makes
-    (m, n) capable for every m where the failed column ``col_bits`` holds 1.
+    sneak-path-capable cells the readout supports.
     """
     half_cols = est.col_types == 0.5
     half_cols[j] = False
+    row_bits = row_bits.copy()
     row_bits[half_cols] = (col_bits @ est.sneak_llr)[half_cols] > 0.0
+    return row_bits
+
+
+def _settled_x_sf(i: int, j: int, row_bits, col_bits, est: SPTypeEstimate) -> np.ndarray:
+    """Failure lines of (i, j), the row's bits settled before the column's."""
+    row_bits = _settle_partial_cols(row_bits, col_bits, j, est)
+    col_bits = _settle_partial_cols(col_bits, row_bits, i, _transposed(est))
+    x_sf = np.zeros((row_bits.size, col_bits.size), dtype=np.uint8)
+    x_sf[i, :] = row_bits
+    x_sf[:, j] = col_bits
+    return x_sf
 
 
 def _detect_single(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
     i, j, row_bits, col_bits = locate_single_sf(y, est, params)
-    _settle_partial_cols(row_bits, col_bits, j, est)
-    _settle_partial_cols(col_bits, row_bits, i, _transposed(est))
-    x_sf = np.zeros(y.shape, dtype=np.uint8)
-    x_sf[i, :] = row_bits
-    x_sf[:, j] = col_bits
+    x_sf = _settled_x_sf(i, j, row_bits, col_bits, est)
     return x_sf, SFHypothesis(kind=PATTERN_SINGLE, locations=((i, j),))
 
 

@@ -70,33 +70,24 @@ def _no_saturated_lines(x: np.ndarray) -> bool:
     return not (x.all(axis=0).any() or x.all(axis=1).any())
 
 
-def _line_penalties(x: np.ndarray, e: np.ndarray, col_types: np.ndarray):
-    """Noiseless matching penalty of every row against the column classes.
-
-    A row is scored position-by-position: columns whose class is 1 expect a
-    stored 1 (reading r1), class 0 expects a stored 0 (reading r0);
-    ambiguous columns carry no preference.  A mismatch costs (r0 - r1)^2
-    unless the cell actually reads the sneak-path level, which costs
-    (r0' - r1)^2 -- a factor 81 smaller at the default levels.  Returned in
-    units of the smaller cost.
-    """
-    profile = col_types == COMPLETE
-    det = col_types != INCOMPLETE
-    bits = x.astype(bool)[:, det]
-    sp = e.astype(bool)[:, det]
-    mismatch = bits != profile[det][None, :]
-    small = mismatch & profile[det][None, :] & sp
-    return np.where(mismatch, np.where(small, 1, 81), 0).sum(axis=1)
-
-
 def _impostor_margin_ok(x: np.ndarray, e: np.ndarray, col_types: np.ndarray,
                         true_rows: tuple[int, ...], eligible: np.ndarray) -> bool:
     """Every true failure row must beat every other candidate row strictly.
 
-    ``eligible`` marks the rows the localization step may pick from.  With
-    equal penalties the lower index would win, so ties are rejected too.
+    Rows are scored by their noiseless matching penalty against the column
+    classes, position by position: columns whose class is 1 expect a stored
+    1 (reading r1), class 0 expects a stored 0 (reading r0); ambiguous
+    columns carry no preference.  A mismatch costs (r0 - r1)^2 unless the
+    cell actually reads the sneak-path level, which costs (r0' - r1)^2 -- a
+    factor 81 smaller at the default levels (the unit below).  ``eligible``
+    marks the rows the localization step may pick from.  With equal
+    penalties the lower index would win, so ties are rejected too.
     """
-    pen = _line_penalties(x, e, col_types)
+    profile = col_types == COMPLETE
+    det = col_types != INCOMPLETE
+    mismatch = x.astype(bool)[:, det] != profile[det][None, :]
+    small = mismatch & profile[det][None, :] & e.astype(bool)[:, det]
+    pen = np.where(mismatch, np.where(small, 1, 81), 0).sum(axis=1)
     worst_true = pen[list(true_rows)].max()
     others = eligible.copy()
     others[list(true_rows)] = False
@@ -169,8 +160,7 @@ def _double_sf_premises(x: np.ndarray, sf: SFPattern, e: np.ndarray, cross) -> b
         return False
     if cross == (1, 1):
         # The swapped pairing must contradict at least one plain-HRS cell.
-        implied = np.outer(x[:, jp], x[i, :]) | np.outer(x[:, j], x[ip, :])
-        contr = (x == 0) & (e == 0) & (implied == 1)
+        contr = compute_sp_indicators(x, SFPattern(((i, jp), (ip, j)))).astype(bool) & (e == 0)
         contr[[i, ip], :] = False
         contr[:, [j, jp]] = False
         if not contr.any():
