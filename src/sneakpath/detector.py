@@ -12,7 +12,8 @@ The pipeline works on one noisy readout matrix at a time:
    hypothesis makes sneak-path-capable.
 3. One failure: the failed row/column is found by residual matching and its
    bits read directly off the column/row classes; a partially affected line,
-   which one failure cannot produce, gets the bit its cells support.
+   which one failure cannot produce, gets the bit its cells support, in
+   the line order whose sneak-path-capable cells score higher.
 4. Two failures: two candidate rows and columns are scored, the pairing
    ambiguity is resolved (four sub-cases depending on the classes of the
    candidate lines), and the genuinely ambiguous entries are refined with
@@ -198,15 +199,15 @@ def _transposed(est: SPTypeEstimate) -> SPTypeEstimate:
 def classify_sf_pattern(est: SPTypeEstimate) -> str:
     """Propose the largest failure count the estimated line classes allow.
 
-    All column classes clear means no failure.  Otherwise a partially
+    All line classes clear means no failure.  Otherwise a partially
     affected line on either axis proposes two failures, and fully affected
-    columns alone propose a single failure.  The proposal is an upper bound,
+    lines alone propose a single failure.  The proposal is an upper bound,
     not the decision: the line classes come from per-line zero thresholds
     that ignore the failure-count prior and the failure structure, so one
     noisy line can raise the count.  :func:`detect_array` steps down from
     the proposal to the most probable count.
     """
-    if np.all(est.col_types == 0.0):
+    if np.all(est.row_types == 0.0) and np.all(est.col_types == 0.0):
         return PATTERN_NONE
     if np.any(est.col_types == 0.5) or np.any(est.row_types == 0.5):
         return PATTERN_DOUBLE
@@ -477,8 +478,17 @@ def _settled_x_sf(i: int, j: int, row_bits, col_bits, est: SPTypeEstimate) -> np
 
 def _detect_single(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
     i, j, row_bits, col_bits = locate_single_sf(y, est, params)
+    locations = ((i, j),)
     x_sf = _settled_x_sf(i, j, row_bits, col_bits, est)
-    return x_sf, SFHypothesis(kind=PATTERN_SINGLE, locations=((i, j),))
+    if (est.row_types == 0.5).any() and (est.col_types == 0.5).any():
+        # Each settled bit moves the evidence of the crossing partial lines,
+        # so the failed column's bits first (the transpose's row-first
+        # order) can end elsewhere.  Keep the order that scores higher.
+        x_alt = _settled_x_sf(j, i, col_bits, row_bits, _transposed(est)).T
+        if (_sneak_evidence(est.sneak_llr, x_alt, locations)
+                > _sneak_evidence(est.sneak_llr, x_sf, locations)):
+            x_sf = x_alt
+    return x_sf, SFHypothesis(kind=PATTERN_SINGLE, locations=locations)
 
 
 def _detect_double(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):

@@ -16,6 +16,7 @@ from sneakpath import (
     estimate_sp_types,
     resistance_map,
     sample_data,
+    sample_instance,
     sample_readout,
 )
 from sneakpath.baseline import optimal_threshold
@@ -182,9 +183,11 @@ class TestPatternDeclaration:
         assert classify_sf_pattern(make_estimate([0, 0.5], [1, 0])) == PATTERN_DOUBLE
         assert classify_sf_pattern(make_estimate([0, 0], [0.5, 1])) == PATTERN_DOUBLE
 
-    def test_silent_columns_mean_none(self):
-        # Declaration is driven by the column classes.
-        assert classify_sf_pattern(make_estimate([0, 1], [0, 0])) == PATTERN_NONE
+    def test_flagged_rows_and_columns_propose_alike(self):
+        # The proposal treats rows and columns alike: one flagged line on
+        # either axis allows the same failure count.
+        assert (classify_sf_pattern(make_estimate([0, 1], [0, 0]))
+                == classify_sf_pattern(make_estimate([0, 0], [0, 1])))
 
 
 def _move_ones_to_sneak_level(y, x, col, rows, params):
@@ -214,11 +217,13 @@ class TestFailureCountStepDown:
         ones = np.flatnonzero(x[:, 0] == 1)
         rows = ones[np.argsort(-x[ones].sum(axis=1), kind="stable")[:10]]
         y = _move_ones_to_sneak_level(y, x, 0, rows, params)
-        est = estimate_sp_types(y, params)
-        assert classify_sf_pattern(est) != PATTERN_NONE
-        res = detect_array(y, params)
-        assert res.hypothesis.kind == PATTERN_NONE
-        assert np.array_equal(res.x_hat, x)
+        # The transposed readout has a flagged row instead.
+        for y_case, x_case in ((y, x), (y.T, x.T)):
+            est = estimate_sp_types(y_case, params)
+            assert classify_sf_pattern(est) != PATTERN_NONE
+            res = detect_array(y_case, params)
+            assert res.hypothesis.kind == PATTERN_NONE
+            assert np.array_equal(res.x_hat, x_case)
 
     def test_spurious_partial_line_declared_single(self):
         params = self.params
@@ -240,6 +245,53 @@ class TestFailureCountStepDown:
         # Every bit as the genie decodes it: r1 and r0' lie 2.5 sigma apart.
         genie = detect_non_sf(y, inst.sf.pairs, inst.x, params)
         assert np.array_equal(res.x_hat, genie)
+
+
+class TestSymmetries:
+    """Transposing or permuting the lines of a readout maps the decisions alike."""
+
+    def test_transposed_readout_same_single_failure(self):
+        # Settling the partial rows always before the partial columns
+        # declared this readout double at (0, 17), (12, 2) and its transpose
+        # single at (2, 0); the two bit estimates differed in 34 bits.
+        params = ChannelParams(sigma=150.0)
+        _, sf, _, y = sample_instance(32, params, (0.5, 0.4, 0.1),
+                                      np.random.default_rng([32, 34, 150, 5]))
+        assert sf.pairs == ((0, 2),)
+        res, res_t = detect_array(y, params), detect_array(y.T, params)
+        assert res.hypothesis.kind == res_t.hypothesis.kind == PATTERN_SINGLE
+        assert res.hypothesis.locations == ((0, 2),)
+        assert res_t.hypothesis.locations == ((2, 0),)
+        assert np.array_equal(res_t.x_hat, res.x_hat.T)
+
+    @given(st.integers(8, 48), st.sampled_from([30.0, 100.0, 200.0, 350.0]),
+           st.integers(0, 2**32 - 1))
+    @settings(deadline=None, derandomize=True)
+    def test_transpose_equivariant(self, n, sigma, seed):
+        params = ChannelParams(sigma=sigma)
+        _, _, _, y = sample_instance(n, params, (0.5, 0.4, 0.1), rng_of(seed))
+        res, res_t = detect_array(y, params), detect_array(y.T, params)
+        assert res_t.hypothesis.kind == res.hypothesis.kind
+        assert sorted(res_t.hypothesis.locations) == sorted(
+            (j, i) for i, j in res.hypothesis.locations)
+        assert np.array_equal(res_t.x_hat, res.x_hat.T)
+
+    @given(st.integers(8, 48), st.sampled_from([30.0, 100.0, 200.0, 350.0]),
+           st.integers(0, 2**32 - 1))
+    @settings(deadline=None, derandomize=True)
+    def test_permutation_equivariant(self, n, sigma, seed):
+        params = ChannelParams(sigma=sigma)
+        rng = rng_of(seed)
+        _, _, _, y = sample_instance(n, params, (0.5, 0.4, 0.1), rng)
+        rows, cols = rng.permutation(n), rng.permutation(n)
+        res = detect_array(y, params)
+        res_p = detect_array(y[np.ix_(rows, cols)], params)
+        # Line k of the permuted readout is line rows[k] (cols[k]) of y.
+        new_row, new_col = np.argsort(rows), np.argsort(cols)
+        assert res_p.hypothesis.kind == res.hypothesis.kind
+        assert sorted(res_p.hypothesis.locations) == sorted(
+            (int(new_row[i]), int(new_col[j])) for i, j in res.hypothesis.locations)
+        assert np.array_equal(res_p.x_hat, res.x_hat[np.ix_(rows, cols)])
 
 
 class TestSingleLocalization:
@@ -448,7 +500,6 @@ class TestFullPipeline:
         threshold = optimal_threshold(params, p)
         rng = rng_of(14)
         prop = base = 0
-        from sneakpath import sample_instance
         for _ in range(150):
             x, sf, e, y = sample_instance(128, params, p.as_tuple(), rng)
             prop += int((detect_array(y, params).x_hat != x).sum())
