@@ -49,12 +49,11 @@ def optimal_threshold(
     evaluations (the tests compare both over q, priors and sigma from 1e-3
     to 5e3).  Only the evaluated points are built.
     """
-    last = grid_points - 1
-    step = (params.r0 - params.r1) / last
+    step = (params.r0 - params.r1) / (grid_points - 1)
 
     def grid(k):
         # Points k of np.linspace(r1, r0, grid_points), bit for bit.
-        return np.where(k == last, params.r0, k * step + params.r1)
+        return np.where(k == grid_points - 1, params.r0, k * step + params.r1)
 
     coarse = grid(np.arange(0, grid_points, _COARSE_STRIDE))
     c = int(np.argmin(marginal_error(coarse, params, p))) * _COARSE_STRIDE

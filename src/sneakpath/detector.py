@@ -218,6 +218,13 @@ def classify_sf_pattern(est: SPTypeEstimate) -> str:
 # Single-failure localization and recovery.
 # ---------------------------------------------------------------------------
 
+def _partial_lines(line_types: np.ndarray, skip) -> np.ndarray:
+    """Mask of the partially affected lines, less the lines in ``skip``."""
+    mask = line_types == 0.5
+    mask[list(skip)] = False
+    return mask
+
+
 def _restricted_argmin(values: np.ndarray, mask: np.ndarray) -> int:
     """Argmin over masked indices, widening to all when the mask is empty.
 
@@ -402,8 +409,8 @@ def refine_uncertain_pairs(
     ``col_pair_llr`` must be ordered consistently with ``j_pair_ordered``.
     Returns updated (row_pair_llr, col_pair_llr).
     """
-    unc_cols = np.setdiff1d(np.flatnonzero(est.col_types == 0.5), j_pair_ordered)
-    unc_rows = np.setdiff1d(np.flatnonzero(est.row_types == 0.5), i_pair)
+    unc_cols = np.flatnonzero(_partial_lines(est.col_types, j_pair_ordered))
+    unc_rows = np.flatnonzero(_partial_lines(est.row_types, i_pair))
     l2_rows = row_pair_llr.astype(float)
     l2_cols = col_pair_llr.astype(float)
     if unc_cols.size == 0 or unc_rows.size == 0:
@@ -452,51 +459,47 @@ def detect_non_sf(
     return bits
 
 
-def _settle_partial_cols(row_bits, col_bits, j: int, est: SPTypeEstimate):
-    """The failed row's bits, settled on the partially affected columns but ``j``.
+def _settled_lines(i: int, j: int, row_bits, col_bits, est, est_t):
+    """Failed row (i) and column (j) bits, settled on the partial lines row first.
 
     One failure leaves no line partially affected.  Such lines (the class
     pattern proposed two failures) get the crossing bit whose
-    sneak-path-capable cells the readout supports.
+    sneak-path-capable cells the readout supports.  The column is settled
+    as a row of the transpose (estimate ``est_t``).  Returns the bits and
+    their evidence (see :func:`_sneak_evidence`).
     """
-    half_cols = est.col_types == 0.5
-    half_cols[j] = False
-    row_bits = row_bits.copy()
-    row_bits[half_cols] = (col_bits @ est.sneak_llr)[half_cols] > 0.0
-    return row_bits
-
-
-def _settled_x_sf(i: int, j: int, row_bits, col_bits, est: SPTypeEstimate) -> np.ndarray:
-    """Failure lines of (i, j), the row's bits settled before the column's."""
-    row_bits = _settle_partial_cols(row_bits, col_bits, j, est)
-    col_bits = _settle_partial_cols(col_bits, row_bits, i, _transposed(est))
-    x_sf = np.zeros((row_bits.size, col_bits.size), dtype=np.uint8)
-    x_sf[i, :] = row_bits
-    x_sf[:, j] = col_bits
-    return x_sf
+    row_bits, col_bits = row_bits.copy(), col_bits.copy()
+    for bits, crossing, skip, e in ((row_bits, col_bits, j, est), (col_bits, row_bits, i, est_t)):
+        partial = _partial_lines(e.col_types, (skip,))
+        support = crossing @ e.sneak_llr
+        bits[partial] = support[partial] > 0.0
+    return row_bits, col_bits, float(support @ col_bits)
 
 
 def _detect_single(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
     i, j, row_bits, col_bits = locate_single_sf(y, est, params)
-    locations = ((i, j),)
-    x_sf = _settled_x_sf(i, j, row_bits, col_bits, est)
+    est_t = _transposed(est)
+    rows, cols, score = _settled_lines(i, j, row_bits, col_bits, est, est_t)
     if (est.row_types == 0.5).any() and (est.col_types == 0.5).any():
-        # Each settled bit moves the evidence of the crossing partial lines,
-        # so the failed column's bits first (the transpose's row-first
-        # order) can end elsewhere.  Keep the order that scores higher.
-        x_alt = _settled_x_sf(j, i, col_bits, row_bits, _transposed(est)).T
-        if (_sneak_evidence(est.sneak_llr, x_alt, locations)
-                > _sneak_evidence(est.sneak_llr, x_sf, locations)):
-            x_sf = x_alt
-    return x_sf, SFHypothesis(kind=PATTERN_SINGLE, locations=locations)
+        # Each settled bit moves the crossing partial lines' evidence, so column
+        # first (row first on the transpose) can end elsewhere; keep the better.
+        alt_cols, alt_rows, alt_score = _settled_lines(j, i, col_bits, row_bits, est_t, est)
+        if alt_score > score:
+            rows, cols = alt_rows, alt_cols
+    x_sf = np.zeros(y.shape, dtype=np.uint8)
+    x_sf[i, :] = rows
+    x_sf[:, j] = cols
+    return x_sf, SFHypothesis(kind=PATTERN_SINGLE, locations=((i, j),))
 
 
 def _detect_double(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
     i_pair, j_pair = double_sf_candidates(y, est, params)
     i1, i2 = i_pair
     j1, j2 = j_pair
-    row_llr = uncertain_pair_llr(y, i_pair, tuple(est.row_types[list(i_pair)]), params)
-    col_llr = uncertain_pair_llr(y.T, j_pair, tuple(est.col_types[list(j_pair)]), params)
+    ti = (float(est.row_types[i1]), float(est.row_types[i2]))
+    tj = (float(est.col_types[j1]), float(est.col_types[j2]))
+    row_llr = uncertain_pair_llr(y, i_pair, ti, params)
+    col_llr = uncertain_pair_llr(y.T, j_pair, tj, params)
     row_bits = _pair_bits(est.col_types, row_llr)
     col_bits = _pair_bits(est.row_types, col_llr)
 
@@ -516,8 +519,8 @@ def _detect_double(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
     col_bits_ordered = _pair_bits(est.row_types, col_llr_ordered)
 
     x_sf = np.zeros(y.shape, dtype=np.uint8)
-    x_sf[[i1, i2]] = row_bits
-    x_sf.T[[ja, jb]] = col_bits_ordered
+    x_sf[i1], x_sf[i2] = row_bits
+    x_sf[:, ja], x_sf[:, jb] = col_bits_ordered
     # Failed cells store 1 by definition; the other two crossings follow the
     # class correspondence (fully affected line <=> crossing stores 1).
     x_sf[i1, ja] = 1

@@ -79,9 +79,9 @@ def _impostor_margin_ok(x: np.ndarray, e: np.ndarray, col_types: np.ndarray,
     1 (reading r1), class 0 expects a stored 0 (reading r0); ambiguous
     columns carry no preference.  A mismatch costs (r0 - r1)^2 unless the
     cell actually reads the sneak-path level, which costs (r0' - r1)^2 -- a
-    factor 81 smaller at the default levels (the unit below).  ``eligible``
-    marks the rows the localization step may pick from.  With equal
-    penalties the lower index would win, so ties are rejected too.
+    factor 81 smaller at the default levels, and the unit of the penalties.
+    ``eligible`` marks the rows the localization step may pick from.  With
+    equal penalties the lower index would win, so ties are rejected too.
     """
     profile = col_types == COMPLETE
     det = col_types != INCOMPLETE
