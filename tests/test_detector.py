@@ -251,9 +251,9 @@ class TestSymmetries:
     """Transposing or permuting the lines of a readout maps the decisions alike."""
 
     def test_transposed_readout_same_single_failure(self):
-        # Settling the partial rows always before the partial columns
-        # declared this readout double at (0, 17), (12, 2) and its transpose
-        # single at (2, 0); the two bit estimates differed in 34 bits.
+        # With the partial lines settled in one fixed order (rows first),
+        # this readout is declared double at (0, 17), (12, 2) and its
+        # transpose single at (2, 0), and the bit estimates differ in 34 bits.
         params = ChannelParams(sigma=150.0)
         _, sf, _, y = sample_instance(32, params, (0.5, 0.4, 0.1),
                                       np.random.default_rng([32, 34, 150, 5]))
