@@ -1,9 +1,9 @@
 """Trace the full detection pipeline on one noisy double-failure array.
 
-Prints the intermediate quantities the detector works with: line-presence
-and completeness LLRs, the failure count the classes propose and the one
-declared after the MAP step-down, candidate lines, pairing decision, and
-the final bit error count against the truth.
+Prints the intermediate quantities the detector works with: the lines the
+presence pass flags and their classes, the failure count the classes
+propose and the one declared after the MAP step-down, candidate lines,
+pairing decision, and the final bit error count against the truth.
 """
 
 import numpy as np

@@ -27,4 +27,4 @@ for r in records:
     print(f"{r.sigma:6.0f} {r.detector:>9} {r.ber:10.5f} {r.bound_finite:10.5f} "
           f"{loc:>8} {r.sfrc_ber:9.5f}")
 print("\nwrote ber_sweep.csv")
-print("genie-aided floor: rerun with oracle_sf=True (or `sneakpath simulate --oracle-sf`)")
+print('genie-aided floor: add "oracle" to detectors (or `sneakpath simulate --detector oracle`)')

@@ -48,7 +48,11 @@ def optimal_threshold(
     searching that window returns the same grid point from about 2% of the
     evaluations (the tests compare both over q, priors and sigma from 1e-3
     to 5e3).  Only the evaluated points are built.
+
+    Raises ValueError if ``grid_points`` is below 2.
     """
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
     step = (params.r0 - params.r1) / (grid_points - 1)
 
     def grid(k):

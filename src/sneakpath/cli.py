@@ -3,14 +3,17 @@
 Subcommands::
 
     sneakpath simulate --n 128 --q 0.5 --sigma 150,250,350 \
-        --sf-dist 0.5,0.4,0.1 --trials 10000 --detector both \
-        --seed 2024 --out results.csv [--oracle-sf] [--config run.cfg]
+        --sf-dist 0.5,0.4,0.1 --trials 10000 --detector proposed,baseline \
+        --seed 2024 --out results.csv [--config run.cfg]
     sneakpath bounds --n 128 --q 0.5 --sigma 30,60,90 \
         --sf-dist 0.5,0.4,0.1 --out bounds.csv
     sneakpath verify-lemmas --n 32 --q 0.5 --trials 100000 --out events.csv
 
-Config files are flat ``key=value`` text (UTF-8, ``#`` comments); explicit
-flags override file values.
+``--detector`` takes a comma-separated list of ``proposed``, ``baseline``
+and ``oracle`` (the genie, told the true failure rows and columns);
+``both`` means ``proposed,baseline``.  Config files are flat ``key=value``
+text (UTF-8, ``#`` comments) with the flag names as keys (``sf_dist`` for
+``--sf-dist``); explicit flags override file values.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import sys
 
 from . import bounds as bounds_mod
 from . import harness, structure
-from .channel import ChannelParams
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -28,33 +30,29 @@ def _build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run Monte Carlo detection sweeps")
-    sim.add_argument("--n", type=int, default=None, help="array dimension")
-    sim.add_argument("--q", type=float, default=None, help="probability of a stored 1")
-    sim.add_argument("--sigma", type=str, default=None, help="comma-separated noise levels")
-    sim.add_argument("--sf-dist", type=str, default=None, help="p0,p1,p2 failure-count prior")
-    sim.add_argument("--trials", type=int, default=None, help="arrays per noise level")
-    sim.add_argument("--detector", type=str, default=None,
-                     choices=("proposed", "baseline", "both"))
-    sim.add_argument("--seed", type=int, default=None, help="master seed (64-bit)")
-    sim.add_argument("--out", type=str, default=None, help="output CSV path")
-    sim.add_argument("--oracle-sf", action="store_true", default=None,
-                     help="give the detector the true failure rows/columns (genie)")
-    sim.add_argument("--config", type=str, default=None, help="key=value config file")
-    sim.add_argument("--workers", type=int, default=None, help="worker processes")
-    sim.add_argument("--r0", type=float, default=None)
-    sim.add_argument("--r1", type=float, default=None)
-    sim.add_argument("--rs", type=float, default=None)
+    # Channel settings shared by simulate and bounds; unset flags are None,
+    # so ExperimentConfig supplies the reference defaults.
+    channel = argparse.ArgumentParser(add_help=False)
+    channel.add_argument("--n", type=int, help="array dimension")
+    channel.add_argument("--q", type=float, help="probability of a stored 1")
+    channel.add_argument("--sigma", type=str, help="comma-separated noise levels")
+    channel.add_argument("--sf-dist", type=str, help="p0,p1,p2 failure-count prior")
+    channel.add_argument("--r0", type=float)
+    channel.add_argument("--r1", type=float)
+    channel.add_argument("--rs", type=float)
 
-    bnd = sub.add_parser("bounds", help="tabulate analytic thresholds and BER bounds")
-    bnd.add_argument("--n", type=int, default=128)
-    bnd.add_argument("--q", type=float, default=0.5)
-    bnd.add_argument("--sigma", type=str, default=",".join(str(s) for s in harness.DEFAULT_SIGMAS))
-    bnd.add_argument("--sf-dist", type=str, default="0.5,0.4,0.1")
+    sim = sub.add_parser("simulate", parents=[channel], help="run Monte Carlo detection sweeps")
+    sim.add_argument("--trials", type=int, help="arrays per noise level")
+    sim.add_argument("--detector", type=str,
+                     help="comma-separated proposed, baseline, oracle; or both")
+    sim.add_argument("--seed", type=int, help="master seed (64-bit)")
+    sim.add_argument("--out", type=str, help="output CSV path")
+    sim.add_argument("--config", type=str, help="key=value config file")
+    sim.add_argument("--workers", type=int, help="worker processes")
+
+    bnd = sub.add_parser("bounds", parents=[channel],
+                         help="tabulate analytic thresholds and BER bounds")
     bnd.add_argument("--out", type=str, required=True)
-    bnd.add_argument("--r0", type=float, default=1000.0)
-    bnd.add_argument("--r1", type=float, default=100.0)
-    bnd.add_argument("--rs", type=float, default=250.0)
 
     ver = sub.add_parser("verify-lemmas", help="Monte Carlo checks of the structural event probabilities")
     ver.add_argument("--n", type=int, default=32)
@@ -65,24 +63,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _settings(args) -> dict:
+    """The parsed flags that are sweep settings, keyed as in ``harness.SETTINGS``."""
+    return {k: v for k, v in vars(args).items() if k in harness.SETTINGS}
+
+
 def _cmd_simulate(args) -> int:
     file_values = harness.load_config_file(args.config) if args.config else None
-    cfg = harness.build_config(
-        file_values,
-        n=args.n,
-        q=args.q,
-        sigma=args.sigma,
-        sf_dist=args.sf_dist,
-        trials=args.trials,
-        detector=args.detector,
-        seed=args.seed,
-        out=args.out,
-        oracle_sf=args.oracle_sf,
-        workers=args.workers,
-        r0=args.r0,
-        r1=args.r1,
-        rs=args.rs,
-    )
+    cfg = harness.build_config(file_values, **_settings(args))
     if cfg.out is None:
         raise ValueError("an output path is required (--out or out= in the config file)")
     records = harness.run_experiment(cfg)
@@ -95,38 +83,36 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    p = harness.parse_sf_dist(args.sf_dist)
-    sigmas = harness.parse_sigma_list(args.sigma)
-    lines = ["sigma,N,q,p0,p1,p2,gamma,gamma_prime,bound_finite,bound_asymptotic,genie_symmetric_error"]
-    for sigma in sigmas:
-        params = ChannelParams(args.r0, args.r1, args.rs, sigma, args.q)
+    cfg = harness.build_config(**_settings(args))
+    p = cfg.sf_dist
+    rows = []
+    for sigma in cfg.sigma_list:
+        params = cfg.params_at(sigma)
         gamma, gamma_prime = bounds_mod.thresholds(params)
-        fin = bounds_mod.ber_lower_bound(args.n, p, params)
-        asym = bounds_mod.asymptotic_bound(p, params)
-        sym = bounds_mod.genie_error_symmetric(args.n, p, params)
-        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in (
-            sigma, args.n, args.q, p.p0, p.p1, p.p2, gamma, gamma_prime, fin, asym, sym)))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"wrote {len(sigmas)} rows to {args.out}")
+        rows.append((sigma, cfg.n, cfg.q, p.p0, p.p1, p.p2, gamma, gamma_prime,
+                     bounds_mod.ber_lower_bound(cfg.n, p, params),
+                     bounds_mod.asymptotic_bound(p, params),
+                     bounds_mod.genie_error_symmetric(cfg.n, p, params)))
+    harness.write_csv(args.out, ("sigma", "N", "q", "p0", "p1", "p2", "gamma", "gamma_prime",
+                                 "bound_finite", "bound_asymptotic", "genie_symmetric_error"), rows)
+    print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def _cmd_verify_lemmas(args) -> int:
     estimates = structure.verify_event_frequencies(args.n, args.q, args.trials, args.seed)
-    lines = ["event,n,q,trials,samples,successes,frequency,predicted,stderr,z,lower_bound,ok"]
+    rows = []
     worst = 0.0
     for est in estimates:
         ok = est.within(3.0)
         worst = max(worst, abs(est.z) if not est.is_lower_bound else max(0.0, -est.z))
-        lines.append(",".join(str(v) for v in (
-            est.event, est.n, est.q, est.trials, est.samples, est.successes,
-            repr(est.frequency), repr(est.predicted), repr(est.stderr),
-            repr(est.z), int(est.is_lower_bound), int(ok))))
+        rows.append((est.event, est.n, est.q, est.trials, est.samples, est.successes,
+                     est.frequency, est.predicted, est.stderr, est.z,
+                     int(est.is_lower_bound), int(ok)))
         print(f"{est.event}: freq={est.frequency:.6f} predicted={est.predicted:.6f} "
               f"z={est.z:+.2f} {'ok' if ok else 'VIOLATION'}")
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    harness.write_csv(args.out, ("event", "n", "q", "trials", "samples", "successes", "frequency",
+                                 "predicted", "stderr", "z", "lower_bound", "ok"), rows)
     print(f"wrote {len(estimates)} events to {args.out} (worst |z|={worst:.2f})")
     return 0
 

@@ -572,11 +572,13 @@ def detect_array(
     less the log number of placements of k failures.  Ties keep the larger
     count.
 
-    Raises ValueError unless ``y`` is a finite square matrix.
+    Raises ValueError unless ``y`` is a finite square matrix of at least 2x2.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2 or y.shape[0] != y.shape[1]:
         raise ValueError(f"readout must be a square matrix, got shape {y.shape}")
+    if y.shape[0] < 2:
+        raise ValueError(f"readout must be at least 2x2, got shape {y.shape}")
     if not np.isfinite(y).all():
         raise ValueError("readout holds NaN or infinite values")
     est = estimate_sp_types(y, params)

@@ -24,7 +24,8 @@ from .detector import detect_array, detect_non_sf
 
 DETECTOR_PROPOSED = "proposed"
 DETECTOR_BASELINE = "baseline"
-DETECTOR_ORACLE = "oracle"
+DETECTOR_ORACLE = "oracle"  # genie: told the true failure rows and columns
+DETECTORS = (DETECTOR_PROPOSED, DETECTOR_BASELINE, DETECTOR_ORACLE)
 
 DEFAULT_SIGMAS = tuple(float(s) for s in range(30, 421, 30))
 
@@ -34,6 +35,11 @@ CSV_FIELDS = (
     "sfrc_bits", "sfrc_errors", "sfrc_ber", "bound_finite",
     "bound_asymptotic", "seed", "elapsed_ms",
 )
+
+
+def _check_detectors(labels: tuple[str, ...]) -> None:
+    if not labels or set(labels) - set(DETECTORS) or len(set(labels)) != len(labels):
+        raise ValueError(f"detectors must be distinct labels from {DETECTORS}, got {labels}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,6 @@ class ExperimentConfig:
     detectors: tuple[str, ...] = (DETECTOR_PROPOSED, DETECTOR_BASELINE)
     seed: int = 2024
     out: str | None = None
-    oracle_sf: bool = False
     workers: int = 1
     r0: float = 1000.0
     r1: float = 100.0
@@ -61,22 +66,12 @@ class ExperimentConfig:
             raise ValueError(f"array dimension must be at least 2, got {self.n}")
         if not self.sigma_list or any(s <= 0 for s in self.sigma_list):
             raise ValueError(f"sigma list must be non-empty and positive, got {self.sigma_list}")
-        bad = set(self.detectors) - {DETECTOR_PROPOSED, DETECTOR_BASELINE}
-        if bad or not self.detectors:
-            raise ValueError(f"detectors must be a non-empty subset of "
-                             f"{{proposed, baseline}}, got {self.detectors}")
+        _check_detectors(self.detectors)
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
 
     def params_at(self, sigma: float) -> ChannelParams:
         return ChannelParams(self.r0, self.r1, self.rs, sigma, self.q)
-
-    def active_detectors(self) -> tuple[str, ...]:
-        """Detector labels actually run; the genie replaces the proposed one."""
-        return tuple(
-            DETECTOR_ORACLE if (d == DETECTOR_PROPOSED and self.oracle_sf) else d
-            for d in self.detectors
-        )
 
 
 @dataclass(frozen=True)
@@ -166,12 +161,11 @@ def _run_chunk(cfg: ExperimentConfig, sigma_index: int, start: int, stop: int,
     sigma = cfg.sigma_list[sigma_index]
     params = cfg.params_at(sigma)
     p = cfg.sf_dist.as_tuple()
-    active = cfg.active_detectors()
-    counters = {d: np.zeros(len(_COUNTERS), dtype=np.int64) for d in active}
+    counters = {d: np.zeros(len(_COUNTERS), dtype=np.int64) for d in cfg.detectors}
     for t in range(start, stop):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(sigma_index, t)))
         x, sf, _, y = sample_instance(cfg.n, params, p, rng)
-        for d in active:
+        for d in cfg.detectors:
             if d == DETECTOR_PROPOSED:
                 result = detect_array(y, params, cfg.sf_dist)
                 x_hat = result.x_hat
@@ -201,14 +195,14 @@ def run_experiment(cfg: ExperimentConfig, timer=time.perf_counter) -> list[Exper
     tests can pin the elapsed column.
     """
     records: list[ExperimentRecord] = []
-    active = cfg.active_detectors()
     ranges = _chunk_ranges(cfg.trials, cfg.workers)
     parallel = cfg.workers > 1 and len(ranges) > 1
     with ProcessPoolExecutor(max_workers=cfg.workers) if parallel else nullcontext() as pool:
         for sigma_index, sigma in enumerate(cfg.sigma_list):
             t_start = timer()
             params = cfg.params_at(sigma)
-            threshold = optimal_threshold(params, cfg.sf_dist) if DETECTOR_BASELINE in active else None
+            threshold = (optimal_threshold(params, cfg.sf_dist)
+                         if DETECTOR_BASELINE in cfg.detectors else None)
             if pool is None:
                 results = [_run_chunk(cfg, sigma_index, a, b, threshold) for a, b in ranges]
             else:
@@ -218,7 +212,7 @@ def run_experiment(cfg: ExperimentConfig, timer=time.perf_counter) -> list[Exper
             elapsed_ms = (timer() - t_start) * 1000.0
             fin = ber_lower_bound(cfg.n, cfg.sf_dist, params)
             asym = asymptotic_bound(cfg.sf_dist, params)
-            for d in active:
+            for d in cfg.detectors:
                 # Plain ints: rates of np.int64 counts are np.float64, whose
                 # repr() is not a plain number and would reach the CSV.
                 counts = sum(r[d] for r in results).tolist()
@@ -236,29 +230,26 @@ def run_experiment(cfg: ExperimentConfig, timer=time.perf_counter) -> list[Exper
 # round-trip repr for floats), one row per (sigma, detector).
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_results(records: list[ExperimentRecord], path: str) -> None:
-    """Write records as CSV with the fixed header; bit-exact given counters."""
-    lines = [",".join(CSV_FIELDS)]
-    for r in records:
-        p = r.sf_dist
-        row = (
-            r.sigma, r.n, r.q, p.p0, p.p1, p.p2, r.detector, r.trials, r.bits,
-            r.bit_errors, r.ber, r.sf_loc_trials, r.sf_loc_errors,
-            r.sf_loc_err_rate, r.sfrc_bits, r.sfrc_errors, r.sfrc_ber,
-            r.bound_finite, r.bound_asymptotic, r.seed, r.elapsed_ms,
-        )
-        lines.append(",".join(_fmt(v) for v in row))
+def write_csv(path: str, header: tuple[str, ...], rows) -> None:
+    """Write a header and rows as CSV; floats as ``repr(float(v))``, else ``str``."""
+    lines = [",".join(header)]
+    lines += [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as err:
-        raise OSError(f"cannot write results to {path!r}: {err}") from err
+        raise OSError(f"cannot write {path!r}: {err}") from err
+
+
+def write_results(records: list[ExperimentRecord], path: str) -> None:
+    """Write records as CSV with the fixed header; bit-exact given counters."""
+    write_csv(path, CSV_FIELDS, (
+        (r.sigma, r.n, r.q, r.sf_dist.p0, r.sf_dist.p1, r.sf_dist.p2, r.detector, r.trials,
+         r.bits, r.bit_errors, r.ber, r.sf_loc_trials, r.sf_loc_errors, r.sf_loc_err_rate,
+         r.sfrc_bits, r.sfrc_errors, r.sfrc_ber, r.bound_finite, r.bound_asymptotic,
+         r.seed, r.elapsed_ms)
+        for r in records))
 
 
 def read_results(path: str) -> list[ExperimentRecord]:
@@ -290,12 +281,6 @@ def read_results(path: str) -> list[ExperimentRecord]:
 # Configuration: flat key=value files, flag values take precedence.
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "n", "q", "sigma", "sf_dist", "trials", "detector", "seed", "out",
-    "oracle_sf", "workers", "r0", "r1", "rs",
-}
-
-
 def parse_sigma_list(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(s) for s in text.split(",") if s.strip())
@@ -318,11 +303,30 @@ def parse_sf_dist(text: str) -> SFCountDistribution:
 
 
 def parse_detectors(text: str) -> tuple[str, ...]:
+    """Comma-separated detector labels; ``both`` means ``proposed,baseline``."""
     if text == "both":
         return (DETECTOR_PROPOSED, DETECTOR_BASELINE)
-    if text in (DETECTOR_PROPOSED, DETECTOR_BASELINE):
-        return (text,)
-    raise ValueError(f"detector must be proposed, baseline, or both, got {text!r}")
+    labels = tuple(s.strip() for s in text.split(","))
+    _check_detectors(labels)
+    return labels
+
+
+# Sweep settings: config-file key (also the CLI flag, "_" written "-") ->
+# ExperimentConfig field and the parser of the setting's text form.
+SETTINGS = {
+    "n": ("n", int),
+    "q": ("q", float),
+    "sigma": ("sigma_list", parse_sigma_list),
+    "sf_dist": ("sf_dist", parse_sf_dist),
+    "trials": ("trials", int),
+    "detector": ("detectors", parse_detectors),
+    "seed": ("seed", int),
+    "out": ("out", str),
+    "workers": ("workers", int),
+    "r0": ("r0", float),
+    "r1": ("r1", float),
+    "rs": ("rs", float),
+}
 
 
 def load_config_file(path: str) -> dict:
@@ -341,50 +345,25 @@ def load_config_file(path: str) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = val.strip()
     return values
 
 
 def build_config(file_values: dict | None = None, **flag_values) -> ExperimentConfig:
-    """Merge config-file values with flag overrides into an ExperimentConfig."""
+    """Merge config-file values with flag overrides into an ExperimentConfig.
+
+    Keys are those of :data:`SETTINGS`.  A flag of None is unset; a string
+    is parsed by the key's parser, any other value is taken as it is.
+    """
     merged = dict(file_values or {})
-    unknown = set(merged) - _CONFIG_KEYS
+    merged.update((k, v) for k, v in flag_values.items() if v is not None)
+    unknown = set(merged) - set(SETTINGS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, val in flag_values.items():
-        if val is not None:
-            merged[key] = val
-    cfg = ExperimentConfig()
-    def _get(key, conv, default):
-        if key not in merged:
-            return default
-        val = merged[key]
-        return conv(val) if isinstance(val, str) else val
-    def _get_bool(key, default):
-        if key not in merged:
-            return default
-        val = merged[key]
-        if isinstance(val, bool):
-            return val
-        if val.lower() in ("1", "true", "yes"):
-            return True
-        if val.lower() in ("0", "false", "no"):
-            return False
-        raise ValueError(f"{key} must be a boolean, got {val!r}")
-    return ExperimentConfig(
-        n=_get("n", int, cfg.n),
-        q=_get("q", float, cfg.q),
-        sigma_list=_get("sigma", parse_sigma_list, cfg.sigma_list),
-        sf_dist=_get("sf_dist", parse_sf_dist, cfg.sf_dist),
-        trials=_get("trials", int, cfg.trials),
-        detectors=_get("detector", parse_detectors, cfg.detectors),
-        seed=_get("seed", int, cfg.seed),
-        out=_get("out", str, cfg.out),
-        oracle_sf=_get_bool("oracle_sf", cfg.oracle_sf),
-        workers=_get("workers", int, cfg.workers),
-        r0=_get("r0", float, cfg.r0),
-        r1=_get("r1", float, cfg.r1),
-        rs=_get("rs", float, cfg.rs),
-    )
+    fields = {}
+    for key, val in merged.items():
+        field, parse = SETTINGS[key]
+        fields[field] = parse(val) if isinstance(val, str) else val
+    return ExperimentConfig(**fields)

@@ -65,6 +65,11 @@ class TestThresholdSearch:
                     assert (optimal_threshold(params, p, grid_points)
                             == full_grid_threshold(params, p, grid_points)), (q, p, sigma)
 
+    @pytest.mark.parametrize("grid_points", [0, 1])
+    def test_grid_smaller_than_two_points_rejected(self, grid_points):
+        with pytest.raises(ValueError, match="at least 2"):
+            optimal_threshold(ChannelParams(sigma=100.0), PA, grid_points)
+
 
 class TestDetection:
     def _noiseless_instance(self, demo_x, params):

@@ -539,6 +539,12 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="square"):
             detect_array(y, ChannelParams(sigma=30.0))
 
+    @pytest.mark.parametrize("shape", [(1, 1), (0, 0)])
+    def test_readout_smaller_than_2x2_rejected(self, shape):
+        y = np.full(shape, 550.0)
+        with pytest.raises(ValueError, match="at least 2x2"):
+            detect_array(y, ChannelParams(sigma=30.0))
+
 
 class TestNumericalRobustness:
     @pytest.mark.parametrize("sigma", [1e-6, 1.0, 30.0, 400.0])

@@ -56,9 +56,17 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("bogus=1\n")
-        with pytest.raises(ValueError):
-            load_config_file(str(path))
+        for line in ("bogus=1", "oracle_sf=1"):
+            path.write_text(line + "\n")
+            with pytest.raises(ValueError, match="unknown key"):
+                load_config_file(str(path))
+
+    def test_detector_list(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("detector=oracle, baseline\n")
+        cfg = build_config(load_config_file(str(path)))
+        assert cfg.detectors == ("oracle", "baseline")
+        assert build_config(detector="both").detectors == ("proposed", "baseline")
 
     def test_malformed_values_rejected(self):
         with pytest.raises(ValueError):
@@ -67,6 +75,8 @@ class TestConfig:
             parse_sf_dist("0.5,0.5")
         with pytest.raises(ValueError):
             parse_detectors("magic")
+        with pytest.raises(ValueError):
+            parse_detectors("proposed,proposed")
 
     def test_invalid_config_rejected_before_running(self):
         with pytest.raises(ValueError):
@@ -75,6 +85,8 @@ class TestConfig:
             ExperimentConfig(sigma_list=())
         with pytest.raises(ValueError):
             ExperimentConfig(detectors=("magic",))
+        with pytest.raises(ValueError, match="distinct"):
+            ExperimentConfig(detectors=("proposed", "proposed"))
 
 
 class TestDiagnostics:
@@ -161,7 +173,7 @@ class TestRunExperiment:
 
     def test_oracle_mode(self):
         cfg = ExperimentConfig(n=16, sigma_list=(100.0,), trials=20, seed=4,
-                               detectors=("proposed",), oracle_sf=True)
+                               detectors=("oracle",))
         rec = run_experiment(cfg, timer=fixed_timer)[0]
         assert rec.detector == DETECTOR_ORACLE
         assert rec.sf_loc_errors == 0
@@ -202,7 +214,7 @@ class TestPersistence:
     def test_csv_bytes_pinned(self, tmp_path):
         cfg = ExperimentConfig(n=16, sigma_list=(80.0, 200.0), trials=20, seed=41)
         recs = run_experiment(cfg, timer=fixed_timer)
-        recs += run_experiment(replace(cfg, oracle_sf=True), timer=fixed_timer)
+        recs += run_experiment(replace(cfg, detectors=("oracle", "baseline")), timer=fixed_timer)
         path = tmp_path / "out.csv"
         write_results(recs, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256
@@ -240,6 +252,15 @@ class TestCLI:
         assert cli_main(["simulate", "--config", str(cfgfile), "--trials", "3"]) == 0
         recs = read_results(str(out))
         assert recs[0].trials == 3
+
+    def test_simulate_oracle_end_to_end(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert cli_main(["simulate", "--n", "16", "--sigma", "80", "--trials", "5",
+                         "--detector", "oracle", "--seed", "11", "--out", str(out)]) == 0
+        (rec,) = read_results(str(out))
+        assert rec.detector == DETECTOR_ORACLE
+        assert rec.sf_loc_trials == 5 and rec.sf_loc_errors == 0
+        assert "wrote 1 records" in capsys.readouterr().out
 
     def test_simulate_rejects_bad_distribution(self, capsys):
         code = cli_main(["simulate", "--sf-dist", "0.5,0.4,0.2", "--out", "x.csv"])
