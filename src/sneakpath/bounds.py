@@ -62,6 +62,19 @@ def thresholds(params: ChannelParams) -> tuple[float, float]:
     return gamma, gamma_prime
 
 
+def _per_count_average(n: int, p: SFCountDistribution, q: float, far: float, near: float) -> float:
+    """Average over the failure count of the non-failure-cell fraction times the
+    per-cell error: ``far`` off the sneak-path-capable cells, ``near`` on them."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    total = 0.0
+    for k, pk in enumerate(p.as_tuple()):
+        frac = 1.0 - (2.0 * k * n - k * k) / n**2
+        clear = (1.0 - q * q) ** k
+        total += pk * frac * (clear * far + (1.0 - clear) * near)
+    return total
+
+
 def ber_lower_bound(n: int, p: SFCountDistribution, params: ChannelParams) -> float:
     """Finite-array BER floor at array dimension ``n``.
 
@@ -71,19 +84,11 @@ def ber_lower_bound(n: int, p: SFCountDistribution, params: ChannelParams) -> fl
     the closed form is stated; see ``genie_error_symmetric`` for the
     two-sided diagnostic variant.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     gamma, gamma_prime = thresholds(params)
-    q = params.q
     sig = params.sigma
     q_far = float(q_function((gamma - params.r1) / sig))
     q_near = float(q_function((gamma_prime - params.r1) / sig))
-    total = 0.0
-    for k, pk in enumerate(p.as_tuple()):
-        frac = 1.0 - (2.0 * k * n - k * k) / n**2
-        clear = (1.0 - q * q) ** k
-        total += pk * frac * (clear * q_far + (1.0 - clear) * q_near)
-    return total
+    return _per_count_average(n, p, params.q, q_far, q_near)
 
 
 def asymptotic_bound(p: SFCountDistribution, params: ChannelParams) -> float:
@@ -103,8 +108,6 @@ def genie_error_symmetric(n: int, p: SFCountDistribution, params: ChannelParams)
     by the bit prior.  It coincides with the bound at q = 1/2 and is logged
     alongside it for comparison; it is not used in any acceptance check.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     gamma, gamma_prime = thresholds(params)
     q = params.q
     sig = params.sigma
@@ -114,9 +117,4 @@ def genie_error_symmetric(n: int, p: SFCountDistribution, params: ChannelParams)
     miss_near = q * float(q_function((gamma_prime - params.r1) / sig)) + (1.0 - q) * float(
         q_function((params.r0_prime - gamma_prime) / sig)
     )
-    total = 0.0
-    for k, pk in enumerate(p.as_tuple()):
-        frac = 1.0 - (2.0 * k * n - k * k) / n**2
-        clear = (1.0 - q * q) ** k
-        total += pk * frac * (clear * miss_far + (1.0 - clear) * miss_near)
-    return total
+    return _per_count_average(n, p, q, miss_far, miss_near)

@@ -13,6 +13,7 @@ explicit ``numpy.random.Generator`` so trials can own independent substreams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,9 @@ class ChannelParams:
     q: float = 0.5
 
     def __post_init__(self):
+        levels = (self.r0, self.r1, self.rs, self.sigma)
+        if not all(math.isfinite(v) for v in levels):
+            raise ValueError(f"r0, r1, rs and sigma must be finite, got {levels}")
         if not (self.r0 > self.r1 > 0.0):
             raise ValueError(f"need r0 > r1 > 0, got r0={self.r0}, r1={self.r1}")
         if self.rs <= 0.0:

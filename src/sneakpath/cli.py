@@ -105,7 +105,7 @@ def _cmd_verify_lemmas(args) -> int:
     worst = 0.0
     for est in estimates:
         ok = est.within(3.0)
-        worst = max(worst, abs(est.z) if not est.is_lower_bound else max(0.0, -est.z))
+        worst = max(worst, est.shortfall)
         rows.append((est.event, est.n, est.q, est.trials, est.samples, est.successes,
                      est.frequency, est.predicted, est.stderr, est.z,
                      int(est.is_lower_bound), int(ok)))

@@ -121,11 +121,6 @@ def _log_mix(fields, a: float, b: float, c: float):
     return peak + np.log(sum(np.exp(t - peak) for t in terms))
 
 
-def _clear_and_capable(fields, q: float):
-    """Log-mixtures of a clear cell (q, 1-q, 0) and a sneak-path-capable one (q, 0, 1-q)."""
-    return _log_mix(fields, q, 1.0 - q, 0.0), _log_mix(fields, q, 0.0, 1.0 - q)
-
-
 def _cell_terms(fields, q: float):
     """Per-cell presence, completeness and sneak-path-capable evidence.
 
@@ -136,7 +131,7 @@ def _cell_terms(fields, q: float):
     the capable cell (q, 0, 1-q): the one-support mixture weighs them
     (1-q, q), the partially affected one (1/2, 1/2).
     """
-    lg_clear, lg_sp = _clear_and_capable(fields, q)
+    lg_clear, lg_sp = _log_mix(fields, q, 1.0 - q, 0.0), _log_mix(fields, q, 0.0, 1.0 - q)
     peak = np.maximum(lg_clear, lg_sp)
     e_clear = np.exp(lg_clear - peak)
     e_sp = np.exp(lg_sp - peak)
@@ -390,21 +385,20 @@ def resolve_pairing(
 
 
 def refine_uncertain_pairs(
-    y: np.ndarray,
     est: SPTypeEstimate,
     i_pair: tuple[int, int],
     j_pair_ordered: tuple[int, int],
     row_pair_llr: np.ndarray,
     col_pair_llr: np.ndarray,
-    params: ChannelParams,
 ):
     """Sharpen ambiguous pair decisions using the cells they jointly explain.
 
     Each outside cell (m, n) with both its row and column ambiguous ties the
     row-pair decision at column n to the column-pair decision at row m: the
     cell reads the sneak-path level only when the two pair assignments place
-    stored 1s on the same failure.  The first-pass pair LLRs act as priors
-    and the updates stay in the log domain, so nothing overflows.
+    stored 1s on the same failure.  The first-pass pair LLRs act as priors,
+    the cells speak through ``est.sneak_llr``, and the updates stay in the
+    log domain, so nothing overflows.
 
     ``col_pair_llr`` must be ordered consistently with ``j_pair_ordered``.
     Returns updated (row_pair_llr, col_pair_llr).
@@ -415,17 +409,21 @@ def refine_uncertain_pairs(
     l2_cols = col_pair_llr.astype(float)
     if unc_cols.size == 0 or unc_rows.size == 0:
         return l2_rows, l2_cols
-    sub = np.asarray(y, dtype=float)[np.ix_(unc_rows, unc_cols)]
-    lg_clear, lg_sp = _clear_and_capable(_exponent_fields(sub, params), params.q)
-    l2_rows[unc_cols] += _messages_to_row_pair(col_pair_llr[unc_rows], lg_clear, lg_sp)
-    l2_cols[unc_rows] += _messages_to_row_pair(row_pair_llr[unc_cols], lg_clear.T, lg_sp.T)
+    sneak = est.sneak_llr[np.ix_(unc_rows, unc_cols)]
+    l2_rows[unc_cols] += _messages_to_row_pair(col_pair_llr[unc_rows], sneak)
+    l2_cols[unc_rows] += _messages_to_row_pair(row_pair_llr[unc_cols], sneak.T)
     return l2_rows, l2_cols
 
 
-def _messages_to_row_pair(col_pair_llr: np.ndarray, lg_clear: np.ndarray, lg_sp: np.ndarray):
-    """Per column, the messages to the row pair summed over rows (column-pair LLR per row)."""
+def _messages_to_row_pair(col_pair_llr: np.ndarray, sneak_llr: np.ndarray):
+    """Per column, the messages to the row pair summed over rows (column-pair LLR per row).
+
+    With prior p and capable-cell LLR s, the message
+    log(e^{p+s} + 1) - log(e^p + e^s) is the ratio of the two pairings'
+    cell likelihoods, each taken relative to the clear cell.
+    """
     prior = col_pair_llr[:, None]
-    msg = np.logaddexp(prior + lg_sp, lg_clear) - np.logaddexp(prior + lg_clear, lg_sp)
+    msg = np.logaddexp(prior + sneak_llr, 0.0) - np.logaddexp(prior, sneak_llr)
     return msg.sum(axis=0)
 
 
@@ -513,7 +511,7 @@ def _detect_double(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
 
     if decision.case == CASE_ALL_COMPLETE:
         row_llr, col_llr_ordered = refine_uncertain_pairs(
-            y, est, i_pair, (ja, jb), row_llr, col_llr_ordered, params
+            est, i_pair, (ja, jb), row_llr, col_llr_ordered
         )
         row_bits = _pair_bits(est.col_types, row_llr)
     col_bits_ordered = _pair_bits(est.row_types, col_llr_ordered)

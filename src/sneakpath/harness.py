@@ -64,11 +64,15 @@ class ExperimentConfig:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.n < 2:
             raise ValueError(f"array dimension must be at least 2, got {self.n}")
-        if not self.sigma_list or any(s <= 0 for s in self.sigma_list):
-            raise ValueError(f"sigma list must be non-empty and positive, got {self.sigma_list}")
+        if not self.sigma_list:
+            raise ValueError("sigma list is empty")
+        for sigma in self.sigma_list:
+            self.params_at(sigma)  # the channel checks every setting
         _check_detectors(self.detectors)
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def params_at(self, sigma: float) -> ChannelParams:
         return ChannelParams(self.r0, self.r1, self.rs, sigma, self.q)

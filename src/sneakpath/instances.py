@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SFPattern, compute_sp_indicators, place_sfs, sample_data
-from .structure import (COMPLETE, INCOMPLETE, NON_SP, LineTypes, classify_line_types, line_classes,
-                        sp_supports)
+from .structure import COMPLETE, INCOMPLETE, NON_SP, line_classes, sp_supports
 
 KIND_NO_SF = "no_sf"
 KIND_SINGLE = "single"
@@ -62,7 +61,6 @@ class CaseInstance:
     x: np.ndarray
     sf: SFPattern
     e: np.ndarray
-    types: LineTypes
 
 
 def _no_saturated_lines(x: np.ndarray) -> bool:
@@ -192,8 +190,7 @@ def make_case_instance(kind: str, n: int, q: float, rng: np.random.Generator) ->
             continue
         if kind in _CROSS_OF_KIND and not _double_sf_premises(x, sf, e, _CROSS_OF_KIND[kind]):
             continue
-        types = classify_line_types(x, e, sf)
-        return CaseInstance(kind=kind, x=x, sf=sf, e=e, types=types)
+        return CaseInstance(kind=kind, x=x, sf=sf, e=e)
     raise RuntimeError(f"no valid {kind!r} instance found in {_MAX_TRIES} tries (n={n}, q={q})")
 
 

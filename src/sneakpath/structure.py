@@ -22,6 +22,7 @@ readouts, only at the true bits and failure locations.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,71 +140,83 @@ def verify_intersection_correspondence(
         raise ValueError("correspondence check applies to double-failure instances only")
     (i, j), (ip, jp) = sf.pairs
     violations: list[str] = []
-    checks = [
-        (i, jp, "row", i, "col", jp),
-        (ip, j, "row", ip, "col", j),
-    ]
-    cross_bits = (int(x[i, jp]), int(x[ip, j]))
-    for (r, c, _, row_idx, _, col_idx) in checks:
+    for (r, c) in ((i, jp), (ip, j)):
         bit = int(x[r, c])
-        rt = float(types.row_types[row_idx])
-        ct = float(types.col_types[col_idx])
+        rt = float(types.row_types[r])
+        ct = float(types.col_types[c])
         if bit == 0:
             if rt != NON_SP:
-                violations.append(f"x[{r},{c}]=0 but row {row_idx} has class {rt}")
+                violations.append(f"x[{r},{c}]=0 but row {r} has class {rt}")
             if ct != NON_SP:
-                violations.append(f"x[{r},{c}]=0 but col {col_idx} has class {ct}")
+                violations.append(f"x[{r},{c}]=0 but col {c} has class {ct}")
         if rt == COMPLETE and bit != 1:
-            violations.append(f"row {row_idx} complete but x[{r},{c}]={bit}")
+            violations.append(f"row {r} complete but x[{r},{c}]={bit}")
         if ct == COMPLETE and bit != 1:
-            violations.append(f"col {col_idx} complete but x[{r},{c}]={bit}")
-    return CorrespondenceReport(cross_bits=cross_bits, violations=tuple(violations))
+            violations.append(f"col {c} complete but x[{r},{c}]={bit}")
+    return CorrespondenceReport(cross_bits=(int(x[i, jp]), int(x[ip, j])),
+                                violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------
-# Closed-form event probabilities.
+# Structural events and their Monte Carlo estimation.
 #
-# Each entry maps an event name to (probability function of (q, n), exact?).
-# The inexact entries are lower bounds and are tested one-sidedly.
+# Failures sit at fixed cells ((0,0) alone, or (0,0) and (1,1)) with their
+# bits forced to 1; everything else is i.i.d. Bernoulli(q).  That is exactly
+# the probability space the closed forms live in, and fixing the locations
+# costs no generality because the cell labels are exchangeable.  Each trial
+# contributes at most one sample, taken from one designated line (index 2,
+# or a failure line), so the samples are independent Bernoulli draws.
 # ---------------------------------------------------------------------------
 
-def _p_single_supported_complete(q: float, n: int) -> float:
-    return 1.0 - (1.0 - (1.0 - q) * q) ** (n - 1)
+_SINGLE = ((0, 0),)
+_DOUBLE = ((0, 0), (1, 1))
+_M = 2  # designated non-failure row
+# Arrays drawn per batch.
+_EVENT_CHUNK = 20000
 
 
-def _p_double_supported_complete(q: float, n: int) -> float:
-    return 1.0 - (q + (1.0 - q) ** 3) ** (n - 2)
+@dataclass(frozen=True)
+class EventForm:
+    """One structural event: its closed form and how to sample it.
+
+    ``probability(q, n)`` is the closed form, exact or (``exact`` False) a
+    lower bound that is tested one-sidedly.  ``failures`` fixes the failed
+    cells, and ``masks(bits, row_types, col_types)`` maps a batch of
+    (B, N, N) bits and (B, N) line classes to the condition and success
+    masks of the event, one entry per array.
+    """
+
+    probability: Callable[[float, int], float]
+    exact: bool
+    failures: tuple[tuple[int, int], ...]
+    masks: Callable
 
 
-def _p_complete_is_double_supported(q: float, n: int) -> float:
-    return 1.0 - 2.0 * (1.0 - q * (1.0 - q) ** 2) ** (n - 2) / q**2
-
-
-def _p_single_supported_incomplete(q: float, n: int) -> float:
-    return 1.0 - 2.0 * (1.0 - q * (1.0 - q) ** 2) ** (n - 2)
-
-
-def _p_cross_one_line_complete(q: float, n: int) -> float:
-    return 1.0 - (q + (1.0 - q) ** 2) ** (n - 2)
-
-
-def _p_lines_nonsp_cross_zero(q: float, n: int) -> float:
-    return 1.0 - q * (q + (1.0 - q) ** 2) ** (2 * n - 4) / (1.0 - q)
-
-
-EVENT_FORMS: dict[str, tuple] = {
+EVENT_FORMS: dict[str, EventForm] = {
     # single failure: a supported non-failure line is complete
-    "single_sf_supported_line_complete": (_p_single_supported_complete, True),
+    "single_sf_supported_line_complete": EventForm(
+        lambda q, n: 1.0 - (1.0 - (1.0 - q) * q) ** (n - 1), True, _SINGLE,
+        lambda b, rt, ct: (b[:, _M, 0] == 1, rt[:, _M] == COMPLETE)),
     # double failure: a doubly-supported non-failure line is complete
-    "double_sf_double_supported_complete": (_p_double_supported_complete, True),
+    "double_sf_double_supported_complete": EventForm(
+        lambda q, n: 1.0 - (q + (1.0 - q) ** 3) ** (n - 2), True, _DOUBLE,
+        lambda b, rt, ct: ((b[:, _M, 0] == 1) & (b[:, _M, 1] == 1), rt[:, _M] == COMPLETE)),
     # double failure: a complete non-failure line is doubly supported (bound)
-    "double_sf_complete_double_supported": (_p_complete_is_double_supported, False),
+    "double_sf_complete_double_supported": EventForm(
+        lambda q, n: 1.0 - 2.0 * (1.0 - q * (1.0 - q) ** 2) ** (n - 2) / q**2, False, _DOUBLE,
+        lambda b, rt, ct: (rt[:, _M] == COMPLETE, (b[:, _M, 0] == 1) & (b[:, _M, 1] == 1))),
     # double failure: a singly-supported non-failure line is incomplete (bound)
-    "double_sf_single_supported_incomplete": (_p_single_supported_incomplete, False),
+    "double_sf_single_supported_incomplete": EventForm(
+        lambda q, n: 1.0 - 2.0 * (1.0 - q * (1.0 - q) ** 2) ** (n - 2), False, _DOUBLE,
+        lambda b, rt, ct: ((b[:, _M, 0].astype(int) + b[:, _M, 1]) == 1, rt[:, _M] == INCOMPLETE)),
     # double failure: crossing bit 1 makes the failure line complete
-    "double_sf_cross_one_line_complete": (_p_cross_one_line_complete, True),
+    "double_sf_cross_one_line_complete": EventForm(
+        lambda q, n: 1.0 - (q + (1.0 - q) ** 2) ** (n - 2), True, _DOUBLE,
+        lambda b, rt, ct: (b[:, 0, 1] == 1, rt[:, 0] == COMPLETE)),
     # double failure: both failure lines class 0 makes the crossing bit 0 (bound)
-    "double_sf_lines_nonsp_cross_zero": (_p_lines_nonsp_cross_zero, False),
+    "double_sf_lines_nonsp_cross_zero": EventForm(
+        lambda q, n: 1.0 - q * (q + (1.0 - q) ** 2) ** (2 * n - 4) / (1.0 - q), False, _DOUBLE,
+        lambda b, rt, ct: ((rt[:, 0] == NON_SP) & (ct[:, 1] == NON_SP), b[:, 0, 1] == 0)),
 }
 
 
@@ -215,30 +228,7 @@ def event_probability(event: str, q: float, n: int) -> float:
         raise ValueError(f"q must lie in (0, 1), got {q}")
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    fn, _ = EVENT_FORMS[event]
-    return float(fn(q, n))
-
-
-def event_is_lower_bound(event: str) -> bool:
-    if event not in EVENT_FORMS:
-        raise KeyError(f"unknown event {event!r}")
-    return not EVENT_FORMS[event][1]
-
-
-# ---------------------------------------------------------------------------
-# Batched Monte Carlo estimation of the events above.
-#
-# Failures sit at fixed cells ((0,0) alone, or (0,0) and (1,1)) with their
-# bits forced to 1; everything else is i.i.d. Bernoulli(q).  That is exactly
-# the probability space the closed forms live in, and fixing the locations
-# costs no generality because the cell labels are exchangeable.  Each trial
-# contributes at most one sample, taken from designated line index 2, so the
-# samples are independent Bernoulli draws.
-# ---------------------------------------------------------------------------
-
-_DESIGNATED_ROW = 2
-# Arrays drawn per batch.
-_EVENT_CHUNK = 20000
+    return float(EVENT_FORMS[event].probability(q, n))
 
 
 @dataclass(frozen=True)
@@ -273,47 +263,23 @@ class EventEstimate:
             return 0.0 if self.frequency == self.predicted else math.inf
         return (self.frequency - self.predicted) / se
 
+    @property
+    def shortfall(self) -> float:
+        """Standard errors by which the estimate misses its form.
+
+        |z| for an exact form; only a shortfall below a lower bound counts.
+        """
+        return max(0.0, -self.z) if self.is_lower_bound else abs(self.z)
+
     def within(self, n_se: float = 3.0) -> bool:
         """Two-sided check for exact forms, one-sided for lower bounds."""
-        if math.isnan(self.z):
-            return False
-        if self.is_lower_bound:
-            return self.z >= -n_se
-        return abs(self.z) <= n_se
-
-
-def _event_masks(event: str, bits: np.ndarray, row_types: np.ndarray, col_types: np.ndarray):
-    """Condition and success masks over a batch, per event definition."""
-    m = _DESIGNATED_ROW
-    rt = row_types[:, m]
-    if event == "single_sf_supported_line_complete":
-        cond = bits[:, m, 0] == 1
-        succ = rt == COMPLETE
-    elif event == "double_sf_double_supported_complete":
-        cond = (bits[:, m, 0] == 1) & (bits[:, m, 1] == 1)
-        succ = rt == COMPLETE
-    elif event == "double_sf_complete_double_supported":
-        cond = rt == COMPLETE
-        succ = (bits[:, m, 0] == 1) & (bits[:, m, 1] == 1)
-    elif event == "double_sf_single_supported_incomplete":
-        cond = (bits[:, m, 0].astype(int) + bits[:, m, 1]) == 1
-        succ = rt == INCOMPLETE
-    elif event == "double_sf_cross_one_line_complete":
-        cond = bits[:, 0, 1] == 1
-        succ = row_types[:, 0] == COMPLETE
-    elif event == "double_sf_lines_nonsp_cross_zero":
-        cond = (row_types[:, 0] == NON_SP) & (col_types[:, 1] == NON_SP)
-        succ = bits[:, 0, 1] == 0
-    else:
-        raise KeyError(f"unknown event {event!r}")
-    return cond, succ
+        return not math.isnan(self.z) and self.shortfall <= n_se
 
 
 def estimate_event_frequency(event: str, n: int, q: float, trials: int, seed: int) -> EventEstimate:
     """Estimate one event frequency with ``trials`` independent arrays."""
     predicted = event_probability(event, q, n)
-    single = event == "single_sf_supported_line_complete"
-    sf_cells = [(0, 0)] if single else [(0, 0), (1, 1)]
+    form = EVENT_FORMS[event]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     samples = 0
     successes = 0
@@ -321,13 +287,13 @@ def estimate_event_frequency(event: str, n: int, q: float, trials: int, seed: in
     while done < trials:
         b = min(_EVENT_CHUNK, trials - done)
         bits = (rng.random((b, n, n)) < q).astype(np.uint8)
-        for (i, j) in sf_cells:
+        for (i, j) in form.failures:
             bits[:, i, j] = 1
         ones = bits.astype(bool)
-        e = _sp_cells(ones, sf_cells)
-        sup = _support_cells(ones, sf_cells)
+        e = _sp_cells(ones, form.failures)
+        sup = _support_cells(ones, form.failures)
         types = line_classes(ones, e, sup.any(axis=-1), sup.any(axis=-2))
-        cond, succ = _event_masks(event, bits, types.row_types, types.col_types)
+        cond, succ = form.masks(bits, types.row_types, types.col_types)
         samples += int(cond.sum())
         successes += int((cond & succ).sum())
         done += b
@@ -339,7 +305,7 @@ def estimate_event_frequency(event: str, n: int, q: float, trials: int, seed: in
         samples=samples,
         successes=successes,
         predicted=predicted,
-        is_lower_bound=event_is_lower_bound(event),
+        is_lower_bound=not form.exact,
     )
 
 

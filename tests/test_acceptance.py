@@ -321,8 +321,8 @@ def test_criterion_9_numerical_robustness():
             col_types=np.array([1, 0, 0.5, 0.5, 0, 0, 0.5, 0]),
             presence_llr_rows=np.zeros(8), presence_llr_cols=np.zeros(8),
             completeness_llr_rows=np.zeros(8), completeness_llr_cols=np.zeros(8),
-            sneak_llr=np.zeros((8, 8)))
-        l2r, l2c = refine_uncertain_pairs(ymat, est, (0, 1), (0, 1), row_llr, col_llr, params)
+            sneak_llr=_cell_terms(_exponent_fields(ymat, params), params.q)[2])
+        l2r, l2c = refine_uncertain_pairs(est, (0, 1), (0, 1), row_llr, col_llr)
         ok &= bool(np.all(np.isfinite(row_llr)) and np.all(np.isfinite(col_llr)))
         ok &= bool(np.all(np.isfinite(l2r)) and np.all(np.isfinite(l2c)))
     report("9", "all LLR surfaces finite for |y - level|/sigma up to 1e3",

@@ -37,6 +37,11 @@ class TestChannelParams:
             dict(sigma=0.0),
             dict(q=0.0),
             dict(q=1.0),
+            dict(sigma=float("nan")),
+            dict(sigma=float("inf")),
+            dict(rs=float("nan")),
+            dict(rs=float("inf")),
+            dict(r0=float("inf")),
         ],
     )
     def test_invalid_params_rejected(self, kwargs):

@@ -46,14 +46,14 @@ def rng_of(seed):
     return np.random.default_rng(seed)
 
 
-def make_estimate(row_types, col_types):
+def make_estimate(row_types, col_types, sneak_llr=None):
     z = np.zeros(len(row_types))
     return SPTypeEstimate(
         row_types=np.asarray(row_types, float),
         col_types=np.asarray(col_types, float),
         presence_llr_rows=z, presence_llr_cols=z,
         completeness_llr_rows=z, completeness_llr_cols=z,
-        sneak_llr=np.zeros((len(row_types), len(col_types))),
+        sneak_llr=np.zeros((len(row_types), len(col_types))) if sneak_llr is None else sneak_llr,
     )
 
 
@@ -409,19 +409,21 @@ class TestPairing:
 class TestRefinement:
     def test_no_partial_lines_passthrough(self, ref_params):
         y = rng_of(10).normal(500, 200, (8, 8))
-        est = make_estimate([1, 1, 0, 0, 0, 0, 0, 0], [1, 1, 0, 0.5, 0, 0, 0, 0])
+        est = make_estimate([1, 1, 0, 0, 0, 0, 0, 0], [1, 1, 0, 0.5, 0, 0, 0, 0],
+                            _cell_terms(_exponent_fields(y, ref_params), ref_params.q)[2])
         row_llr = np.linspace(-2, 2, 8)
         col_llr = np.linspace(1, -1, 8)
-        l2r, l2c = refine_uncertain_pairs(y, est, (0, 1), (0, 1), row_llr, col_llr, ref_params)
+        l2r, l2c = refine_uncertain_pairs(est, (0, 1), (0, 1), row_llr, col_llr)
         assert np.array_equal(l2r, row_llr)
         assert np.array_equal(l2c, col_llr)
 
     def test_neutral_priors_passthrough(self, ref_params):
         y = rng_of(11).normal(500, 200, (8, 8))
-        est = make_estimate([0, 0, 0.5, 0.5, 0, 0, 0, 0], [0, 0, 0.5, 0.5, 0, 0, 0, 0])
+        est = make_estimate([0, 0, 0.5, 0.5, 0, 0, 0, 0], [0, 0, 0.5, 0.5, 0, 0, 0, 0],
+                            _cell_terms(_exponent_fields(y, ref_params), ref_params.q)[2])
         row_llr = np.array([0.0, 0.0, 3.0, -1.0, 0, 0, 0, 0])
         col_llr = np.zeros(8)
-        l2r, _ = refine_uncertain_pairs(y, est, (0, 1), (0, 1), row_llr, col_llr, ref_params)
+        l2r, _ = refine_uncertain_pairs(est, (0, 1), (0, 1), row_llr, col_llr)
         assert np.allclose(l2r, row_llr, atol=1e-12)
 
     def test_refinement_reduces_pair_errors(self):
@@ -444,7 +446,7 @@ class TestRefinement:
             tj = (float(est.col_types[j1]), float(est.col_types[j2]))
             row_llr = uncertain_pair_llr(y, (i1, i2), ti, params)
             col_llr = uncertain_pair_llr(y.T, (j1, j2), tj, params)
-            l2r, l2c = refine_uncertain_pairs(y, est, (i1, i2), (j1, j2), row_llr, col_llr, params)
+            l2r, l2c = refine_uncertain_pairs(est, (i1, i2), (j1, j2), row_llr, col_llr)
             unc = est.col_types == 0.5
             truth = inst.x[i1, unc] == 0
             first += int((truth != (row_llr[unc] > 0)).sum())
@@ -573,9 +575,10 @@ class TestNumericalRobustness:
         params = ChannelParams(sigma=sigma)
         rng = rng_of(seed)
         y = params.r1 + rng.uniform(-1000.0, 1000.0, (8, 8)) * sigma
-        est = make_estimate([0, 1, 0.5, 0.5, 0, 0, 0, 0], [1, 0, 0.5, 0.5, 0, 0, 0, 0])
+        est = make_estimate([0, 1, 0.5, 0.5, 0, 0, 0, 0], [1, 0, 0.5, 0.5, 0, 0, 0, 0],
+                            _cell_terms(_exponent_fields(y, params), params.q)[2])
         row_llr = uncertain_pair_llr(y, (0, 1), (0.0, 1.0), params)
         col_llr = uncertain_pair_llr(y.T, (0, 1), (1.0, 0.0), params)
         assert np.all(np.isfinite(row_llr)) and np.all(np.isfinite(col_llr))
-        l2r, l2c = refine_uncertain_pairs(y, est, (0, 1), (0, 1), row_llr, col_llr, params)
+        l2r, l2c = refine_uncertain_pairs(est, (0, 1), (0, 1), row_llr, col_llr)
         assert np.all(np.isfinite(l2r)) and np.all(np.isfinite(l2c))

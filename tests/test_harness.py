@@ -87,6 +87,10 @@ class TestConfig:
             ExperimentConfig(detectors=("magic",))
         with pytest.raises(ValueError, match="distinct"):
             ExperimentConfig(detectors=("proposed", "proposed"))
+        for bad in (dict(sigma_list=(float("nan"),)), dict(sigma_list=(100.0, float("inf"))),
+                    dict(sigma_list=(-5.0,)), dict(q=1.5), dict(rs=float("nan")), dict(seed=-1)):
+            with pytest.raises(ValueError):
+                ExperimentConfig(**bad)
 
 
 class TestDiagnostics:
@@ -266,6 +270,12 @@ class TestCLI:
         code = cli_main(["simulate", "--sf-dist", "0.5,0.4,0.2", "--out", "x.csv"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_simulate_rejects_nan_sigma(self, tmp_path, capsys):
+        code = cli_main(["simulate", "--detector", "baseline", "--sigma", "nan",
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_bounds_subcommand(self, tmp_path):
         out = tmp_path / "bounds.csv"

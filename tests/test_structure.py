@@ -11,7 +11,6 @@ from sneakpath.structure import (
     NON_SP,
     classify_line_types,
     estimate_event_frequency,
-    event_is_lower_bound,
     event_probability,
     line_classes,
     sp_supports,
@@ -153,8 +152,9 @@ class TestLineClasses:
     def test_noiseless_view_matches_literal_on_library(self):
         for inst in make_case_library(sizes=(16, 32)):
             view = line_classes(inst.x, inst.e, inst.e.any(axis=1), inst.e.any(axis=0))
-            assert np.array_equal(view.row_types, inst.types.row_types), inst.kind
-            assert np.array_equal(view.col_types, inst.types.col_types), inst.kind
+            literal = classify_line_types(inst.x, inst.e, inst.sf)
+            assert np.array_equal(view.row_types, literal.row_types), inst.kind
+            assert np.array_equal(view.col_types, literal.col_types), inst.kind
 
     def test_views_differ_on_small_double(self):
         rng = rng_of(11)
@@ -230,8 +230,8 @@ class TestEventProbability:
             event_probability("single_sf_supported_line_complete", 0.5, 2)
 
     def test_bound_flags(self):
-        assert not event_is_lower_bound("single_sf_supported_line_complete")
-        assert event_is_lower_bound("double_sf_single_supported_incomplete")
+        assert EVENT_FORMS["single_sf_supported_line_complete"].exact
+        assert not EVENT_FORMS["double_sf_single_supported_incomplete"].exact
 
 
 class TestEventFrequencies:
