@@ -28,7 +28,9 @@ class ChannelParams:
     """Physical and statistical constants of the readout channel.
 
     r0, r1: high- and low-resistance state levels (ohms), r0 > r1 > 0.
-    rs: parasitic resistance added in parallel by a sneak path (ohms).
+    rs: parasitic resistance added in parallel by a sneak path (ohms); the
+        sneak-path level r0' = (1/r0 + 1/rs)^-1 must stay above r1, or a
+        sneak path would read like a stored 1.
     sigma: readout noise standard deviation (ohms).
     q: probability that a stored bit is 1, strictly inside (0, 1).
     """
@@ -47,6 +49,9 @@ class ChannelParams:
             raise ValueError(f"need r0 > r1 > 0, got r0={self.r0}, r1={self.r1}")
         if self.rs <= 0.0:
             raise ValueError(f"rs must be positive, got {self.rs}")
+        if self.r0_prime <= self.r1:
+            raise ValueError(f"need r0' = 1/(1/r0 + 1/rs) > r1, got r0'={self.r0_prime:g} "
+                             f"(r0={self.r0}, rs={self.rs}), r1={self.r1}")
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if not (0.0 < self.q < 1.0):

@@ -4,6 +4,8 @@ The pipeline works on one noisy readout matrix at a time:
 
 1. Two LLR passes classify every row and column as clear (0), partially
    affected (0.5), or fully affected (1.0) by sneak-path interference.
+   Every per-cell term is a softplus of the readout's log-likelihood ratio
+   of r0 or r0' against r1, which is linear in the readout.
 2. The class pattern proposes a failure count (none, one, two).  Every count
    up to the proposal is localized (steps 3 and 4), and the array-level MAP
    choice steps down to the count with the largest log prior plus
@@ -25,14 +27,14 @@ The pipeline works on one noisy readout matrix at a time:
 Each step is written for rows and applied to the transposed readout for
 columns, so transposing the readout transposes every decision.
 
-Everything is computed in the log domain; all LLRs stay finite for finite
-inputs regardless of how many noise standard deviations separate a sample
-from the nearest resistance level.
+Everything is computed in the log domain, with one softplus kernel for
+every per-cell LLR; all LLRs stay finite for finite inputs regardless of
+how many noise standard deviations separate a sample from the nearest
+resistance level.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -55,11 +57,16 @@ CASE_FALLBACK = "fallback"
 # per core, tiling measured slower up to N = 208 and faster from N = 224.
 _TILE_CELLS = 8192
 _ONE_PASS_CELLS = 6 * _TILE_CELLS
+# Arrays of up to _SHARED_MIXTURE_CELLS cells (N <= 45) evaluate the
+# candidate mixtures once over the whole array for both axes, which takes
+# fewer NumPy calls: measured faster up to N = 40, even at N = 48 and slower
+# at N = 64 than evaluating them per axis on the crossings that are read.
+_SHARED_MIXTURE_CELLS = 2048
 
 
 @dataclass(frozen=True)
 class SPTypeEstimate:
-    """Estimated per-line sneak-path classes plus the LLRs behind them.
+    """Estimated per-line sneak-path classes and the per-cell capable-cell LLR.
 
     ``sneak_llr`` is the per-cell log-likelihood ratio of a sneak-path-capable
     cell (reads r1 or r0') against a clear one (reads r1 or r0); the failure
@@ -68,10 +75,6 @@ class SPTypeEstimate:
 
     row_types: np.ndarray
     col_types: np.ndarray
-    presence_llr_rows: np.ndarray
-    presence_llr_cols: np.ndarray
-    completeness_llr_rows: np.ndarray
-    completeness_llr_cols: np.ndarray
     sneak_llr: np.ndarray
 
 
@@ -99,45 +102,65 @@ class DetectionResult:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian mixture machinery (log domain).
+# Per-cell LLR kernel.  Every per-cell term is a softplus of fields that are
+# linear in the readout, so no Gaussian kernel is ever exponentiated.
 # ---------------------------------------------------------------------------
 
-def _exponent_fields(y: np.ndarray, params: ChannelParams):
-    """Per-cell log-kernels -(y - level)^2 / (2 sigma^2) at the three levels."""
-    s2 = 2.0 * params.sigma**2
-    return (
-        -((y - params.r1) ** 2) / s2,
-        -((y - params.r0) ** 2) / s2,
-        -((y - params.r0_prime) ** 2) / s2,
-    )
+# Clipping |x| at 50 moves sp(x) by less than e^-50 (about 2e-22), nothing
+# against the LLR sums.  Without it exp underflows on the far tails, which
+# NumPy's vectorized exp handles slowly: at sigma = 30 the kernel then ran
+# slower than np.logaddexp.
+_SOFTPLUS_CLIP = 50.0
+_LOG_HALF = math.log(0.5)
 
 
-def _log_mix(fields, a: float, b: float, c: float):
-    """log(a e^{d1} + b e^{d0} + c e^{d0'}) via max-shifted summation."""
-    terms = [math.log(w) + d for w, d in zip((a, b, c), fields) if w > 0.0]
-    if len(terms) == 1:
-        return terms[0]
-    peak = functools.reduce(np.maximum, terms)
-    return peak + np.log(sum(np.exp(t - peak) for t in terms))
+def _softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + e^x) = max(x, 0) + log1p(e^-|x|), finite for every finite x."""
+    out = np.abs(x)
+    np.minimum(out, _SOFTPLUS_CLIP, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
 
 
-def _cell_terms(fields, q: float):
+def _level_llr(y: np.ndarray, level: float, params: ChannelParams, shift: float = 0.0):
+    """Per-cell log N(y; level, sigma) - log N(y; r1, sigma), plus ``shift``.
+
+    It equals (level - r1)(2y - level - r1) / (2 sigma^2): linear in y.
+    """
+    out = y - (level + params.r1) / 2.0
+    out *= (level - params.r1) / params.sigma**2
+    if shift:
+        out += shift
+    return out
+
+
+def _log_kernel(y: np.ndarray, level, params: ChannelParams) -> np.ndarray:
+    """Per-cell Gaussian log-kernel -(y - level)^2 / (2 sigma^2)."""
+    return -((y - level) ** 2) / (2.0 * params.sigma**2)
+
+
+def _cell_terms(y: np.ndarray, params: ChannelParams):
     """Per-cell presence, completeness and sneak-path-capable evidence.
 
-    The presence term weighs 'line holds one support' against 'line clear',
-    the completeness term 'fully affected' against 'partially affected', and
-    the capable term 'cell can see a sneak path' against 'cell clear'.  All
-    four mixtures behind them are blends of the clear cell (q, 1-q, 0) and
-    the capable cell (q, 0, 1-q): the one-support mixture weighs them
-    (1-q, q), the partially affected one (1/2, 1/2).
+    The capable term weighs 'cell can see a sneak path' (reads r1 or r0')
+    against 'cell clear' (reads r1 or r0), the presence term 'line holds one
+    support' (the two weighed (1-q, q)) against 'line clear', and the
+    completeness term 'fully affected' against 'partially affected' (the two
+    weighed (1/2, 1/2)).  With sp the softplus, c = log((1-q)/q) and u0, u'
+    the level LLRs of r0 and r0' plus c, the capable term is
+    s = sp(u') - sp(u0), the presence term log(1-q) + sp(s - c) and the
+    completeness term log 2 - sp(-s).
     """
-    lg_clear, lg_sp = _log_mix(fields, q, 1.0 - q, 0.0), _log_mix(fields, q, 0.0, 1.0 - q)
-    peak = np.maximum(lg_clear, lg_sp)
-    e_clear = np.exp(lg_clear - peak)
-    e_sp = np.exp(lg_sp - peak)
-    presence = peak + np.log((1.0 - q) * e_clear + q * e_sp) - lg_clear
-    completeness = lg_sp - peak - np.log(0.5 * (e_clear + e_sp))
-    return presence, completeness, lg_sp - lg_clear
+    c = math.log((1.0 - params.q) / params.q)
+    sneak = _softplus(_level_llr(y, params.r0_prime, params, c))
+    sneak -= _softplus(_level_llr(y, params.r0, params, c))
+    presence = _softplus(sneak - c)
+    presence += math.log1p(-params.q)
+    completeness = math.log(2.0) - _softplus(-sneak)
+    return presence, completeness, sneak
 
 
 def _line_types(presence: np.ndarray, completeness: np.ndarray) -> np.ndarray:
@@ -159,14 +182,13 @@ def estimate_sp_types(y: np.ndarray, params: ChannelParams) -> SPTypeEstimate:
     """
     y = np.asarray(y, dtype=float)
     if y.size <= _ONE_PASS_CELLS:
-        t1, t2, sneak_llr = _cell_terms(_exponent_fields(y, params), params.q)
+        t1, t2, sneak_llr = _cell_terms(y, params)
     else:
         t1, t2, sneak_llr = (np.empty_like(y) for _ in range(3))
         step = max(1, _TILE_CELLS // y.shape[1])
         for start in range(0, y.shape[0], step):
             rows = slice(start, start + step)
-            t1[rows], t2[rows], sneak_llr[rows] = _cell_terms(
-                _exponent_fields(y[rows], params), params.q)
+            t1[rows], t2[rows], sneak_llr[rows] = _cell_terms(y[rows], params)
     l1_rows = t1.sum(axis=1)
     l1_cols = t1.sum(axis=0)
     flags_rows = (l1_rows >= 0.0).astype(float)
@@ -176,19 +198,13 @@ def estimate_sp_types(y: np.ndarray, params: ChannelParams) -> SPTypeEstimate:
     return SPTypeEstimate(
         row_types=_line_types(l1_rows, l2_rows),
         col_types=_line_types(l1_cols, l2_cols),
-        presence_llr_rows=l1_rows,
-        presence_llr_cols=l1_cols,
-        completeness_llr_rows=l2_rows,
-        completeness_llr_cols=l2_cols,
         sneak_llr=sneak_llr,
     )
 
 
 def _transposed(est: SPTypeEstimate) -> SPTypeEstimate:
     """The estimate of the transposed readout: rows and columns swap roles."""
-    return SPTypeEstimate(est.col_types, est.row_types, est.presence_llr_cols,
-                          est.presence_llr_rows, est.completeness_llr_cols,
-                          est.completeness_llr_rows, est.sneak_llr.T)
+    return SPTypeEstimate(est.col_types, est.row_types, est.sneak_llr.T)
 
 
 def classify_sf_pattern(est: SPTypeEstimate) -> str:
@@ -256,39 +272,68 @@ def locate_single_sf(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
 # Double-failure localization, pairing, and refinement.
 # ---------------------------------------------------------------------------
 
-def _top2(scores: np.ndarray, mask: np.ndarray) -> tuple[int, int]:
-    """Two best-scoring indices, ties to the lower index, widening as needed."""
-    idx = np.flatnonzero(mask)
-    if idx.size < 2:
-        idx = np.arange(scores.size)
-    order = idx[np.argsort(-scores[idx], kind="stable")]
-    return int(order[0]), int(order[1])
+def _candidate_mixtures(y: np.ndarray, params: ChannelParams, gain_rows=slice(None)):
+    """Per-cell log-likelihoods of a cell on a partially affected column.
+
+    The cell reads r1 or r0 with equal weight when its row is clear, and r1
+    or r0' when its row is fully affected.  Returns the first, mix10 =
+    d1 + log 1/2 + sp(level LLR of r0) with d1 the r1 log-kernel, and the
+    gain mix1p - mix10 = sp(level LLR of r0') - sp(level LLR of r0) on the
+    rows ``gain_rows`` only.
+    """
+    sp0 = _softplus(_level_llr(y, params.r0, params))
+    mix10 = _log_kernel(y, params.r1, params) + _LOG_HALF + sp0
+    gain = _softplus(_level_llr(y[gain_rows], params.r0_prime, params))
+    gain -= sp0[gain_rows]
+    return mix10, gain
 
 
-def _candidate_rows(d1, d0, mix10, mix1p, est: SPTypeEstimate) -> tuple[int, int]:
-    """The two rows that best match a failure row, given the per-cell log-kernels.
+def _candidate_rows(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams,
+                    mixtures=None) -> tuple[int, int]:
+    """The two rows that best match a failure row, ties to the lower index.
 
     A candidate row is scored against the column classes: class-0 columns
     should read r0, class-1 columns r1, and ambiguous columns split between
     r1 and either r0 (candidate row clear) or r0' (candidate row fully
-    affected, which puts a sneak path under its stored 0s).
+    affected, which puts a sneak path under its stored 0s).  Partially
+    affected rows are no candidates unless fewer than two rows are left.
+    ``mixtures`` holds the whole array's (mix10, gain); without it they are
+    evaluated on the candidates' ambiguous crossings only.
     """
+    rows = np.flatnonzero(est.row_types != 0.5)
+    if rows.size < 2:
+        rows = np.arange(y.shape[0])
+    row_types = est.row_types
+    if mixtures is None and rows.size < y.shape[0]:
+        y, row_types = y[rows], row_types[rows]
     ct = est.col_types
-    rt = est.row_types
-    scores = np.where(ct == 1.0, d1, np.where(ct == 0.0, d0, mix10)).sum(axis=1)
-    half_cols = ct == 0.5
-    if half_cols.any():
-        scores = scores + (rt == 1.0) * (mix1p - mix10)[:, half_cols].sum(axis=1)
-    return _top2(scores, rt != 0.5)
+    terms = _log_kernel(y, np.where(ct == 0.0, params.r0, params.r1), params)
+    half = np.flatnonzero(ct == 0.5)
+    full = row_types == 1.0
+    if half.size:
+        if mixtures is None:
+            mix10, gain = _candidate_mixtures(y[:, half], params, full)
+        else:
+            mix10, gain = mixtures[0][:, half], mixtures[1][full][:, half]
+        terms[:, half] = mix10
+    scores = terms.sum(axis=1)
+    if half.size:
+        scores[full] += gain.sum(axis=1)
+    if scores.size > rows.size:
+        scores = scores[rows]
+    order = rows[np.argsort(-scores, kind="stable")]
+    return int(order[0]), int(order[1])
 
 
 def double_sf_candidates(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
     """Score every non-ambiguous line as a potential failure line, keep two."""
-    d1, d0, dp = _exponent_fields(np.asarray(y, dtype=float), params)
-    half = math.log(0.5)
-    kernels = (d1, d0, np.logaddexp(d1, d0) + half, np.logaddexp(d1, dp) + half)
-    return (_candidate_rows(*kernels, est),
-            _candidate_rows(*(k.T for k in kernels), _transposed(est)))
+    y = np.asarray(y, dtype=float)
+    if y.size > _SHARED_MIXTURE_CELLS:
+        return (_candidate_rows(y, est, params),
+                _candidate_rows(y.T, _transposed(est), params))
+    mixtures = _candidate_mixtures(y, params)
+    return (_candidate_rows(y, est, params, mixtures),
+            _candidate_rows(y.T, _transposed(est), params, tuple(m.T for m in mixtures)))
 
 
 def uncertain_pair_llr(
@@ -419,11 +464,14 @@ def _messages_to_row_pair(col_pair_llr: np.ndarray, sneak_llr: np.ndarray):
     """Per column, the messages to the row pair summed over rows (column-pair LLR per row).
 
     With prior p and capable-cell LLR s, the message
-    log(e^{p+s} + 1) - log(e^p + e^s) is the ratio of the two pairings'
-    cell likelihoods, each taken relative to the clear cell.
+    log(e^{p+s} + 1) - log(e^p + e^s) = sp(p + s) - sp(p - s) - s is the
+    log-ratio of the two pairings' cell likelihoods, each taken relative to
+    the clear cell.
     """
     prior = col_pair_llr[:, None]
-    msg = np.logaddexp(prior + sneak_llr, 0.0) - np.logaddexp(prior, sneak_llr)
+    msg = _softplus(prior + sneak_llr)
+    msg -= _softplus(prior - sneak_llr)
+    msg -= sneak_llr
     return msg.sum(axis=0)
 
 

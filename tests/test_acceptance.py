@@ -39,9 +39,9 @@ from sneakpath.baseline import optimal_threshold
 from sneakpath.bounds import ber_lower_bound
 from sneakpath.channel import InfeasibleSFError, place_sfs
 from sneakpath.detector import (
+    _candidate_mixtures,
     _cell_terms,
-    _exponent_fields,
-    _log_mix,
+    _messages_to_row_pair,
     refine_uncertain_pairs,
     uncertain_pair_llr,
 )
@@ -304,10 +304,13 @@ def test_criterion_9_numerical_robustness():
         ks = np.linspace(-1000.0, 1000.0, 2001)
         for level in (params.r1, params.r0, params.r0_prime):
             y = level + ks * sigma
-            fields = _exponent_fields(y, params)
+            terms = _cell_terms(y, params)
+            peak = float(np.max(np.abs(terms[2])))
             surfaces = [
-                *_cell_terms(fields, params.q),
-                _log_mix(fields, 0.5, 0.25, 0.25),
+                *terms,
+                *_candidate_mixtures(y, params),
+                *(_messages_to_row_pair(np.array([prior]), terms[2][None, :])
+                  for prior in (-peak, -1.0, 0.0, 1.0, peak)),
             ]
             for s in surfaces:
                 ok &= bool(np.all(np.isfinite(s)))
@@ -319,9 +322,7 @@ def test_criterion_9_numerical_robustness():
         est = SPTypeEstimate(
             row_types=np.array([0, 1, 0.5, 0.5, 0, 0, 0, 0.5]),
             col_types=np.array([1, 0, 0.5, 0.5, 0, 0, 0.5, 0]),
-            presence_llr_rows=np.zeros(8), presence_llr_cols=np.zeros(8),
-            completeness_llr_rows=np.zeros(8), completeness_llr_cols=np.zeros(8),
-            sneak_llr=_cell_terms(_exponent_fields(ymat, params), params.q)[2])
+            sneak_llr=_cell_terms(ymat, params)[2])
         l2r, l2c = refine_uncertain_pairs(est, (0, 1), (0, 1), row_llr, col_llr)
         ok &= bool(np.all(np.isfinite(row_llr)) and np.all(np.isfinite(col_llr)))
         ok &= bool(np.all(np.isfinite(l2r)) and np.all(np.isfinite(l2c)))

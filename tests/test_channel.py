@@ -48,6 +48,12 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             ChannelParams(**kwargs)
 
+    @pytest.mark.parametrize("rs", [200.0, 50.0])
+    def test_sneak_level_not_above_r1_rejected(self, rs):
+        # r0 = 200, r1 = 100: rs = 200 puts r0' on r1, rs = 50 below it.
+        with pytest.raises(ValueError, match="r0'"):
+            ChannelParams(r0=200.0, r1=100.0, rs=rs)
+
 
 class TestSampleData:
     def test_degenerate_all_ones(self):

@@ -5,6 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_llr import (
+    candidate_mixtures,
+    completeness_llr,
+    mixture_density,
+    presence_llr,
+    sneak_llr,
+)
 from sneakpath import (
     ChannelParams,
     SFPattern,
@@ -29,10 +36,12 @@ from sneakpath.detector import (
     PATTERN_NONE,
     PATTERN_SINGLE,
     SPTypeEstimate,
+    _candidate_mixtures,
+    _candidate_rows,
     _cell_terms,
-    _exponent_fields,
     _line_types,
-    _log_mix,
+    _messages_to_row_pair,
+    _transposed,
     double_sf_candidates,
     locate_single_sf,
     refine_uncertain_pairs,
@@ -46,33 +55,17 @@ def rng_of(seed):
     return np.random.default_rng(seed)
 
 
-def make_estimate(row_types, col_types, sneak_llr=None):
-    z = np.zeros(len(row_types))
+def make_estimate(row_types, col_types, sneak=None):
     return SPTypeEstimate(
         row_types=np.asarray(row_types, float),
         col_types=np.asarray(col_types, float),
-        presence_llr_rows=z, presence_llr_cols=z,
-        completeness_llr_rows=z, completeness_llr_cols=z,
-        sneak_llr=np.zeros((len(row_types), len(col_types))) if sneak_llr is None else sneak_llr,
+        sneak_llr=np.zeros((len(row_types), len(col_types))) if sneak is None else sneak,
     )
 
 
-def mixture_density(y, a, b, c, params):
-    """Unnormalized three-component mixture at the readout levels."""
-    return np.exp(_log_mix(_exponent_fields(np.asarray(y, dtype=float), params), a, b, c))
-
-
-def presence_llr(y_line, params):
-    """First-pass LLR of one line: its presence terms summed."""
-    fields = _exponent_fields(np.asarray(y_line, dtype=float), params)
-    return float(np.sum(_cell_terms(fields, params.q)[0]))
-
-
-def completeness_llr(y_line, crossing_flags, params):
-    """Second-pass LLR of one line: completeness terms weighted by 2 x flags."""
-    fields = _exponent_fields(np.asarray(y_line, dtype=float), params)
-    weights = 2.0 * np.asarray(crossing_flags, dtype=float)
-    return float(np.sum(weights * _cell_terms(fields, params.q)[1]))
+def reference_types(presence, completeness):
+    """Line classes from the reference's line sums, by the detector's rule."""
+    return [0.0 if p < 0.0 else 0.5 if c < 0.0 else 1.0 for p, c in zip(presence, completeness)]
 
 
 class TestMixtureDensity:
@@ -88,34 +81,44 @@ class TestMixtureDensity:
 
 
 class TestTypeLLRs:
-    def test_matrix_matches_vector_ops(self, ref_params):
-        rng = rng_of(0)
-        y = rng.normal(500.0, 300.0, (12, 12))
-        est = estimate_sp_types(y, ref_params)
-        flags_rows = (est.presence_llr_rows >= 0).astype(float) / 2.0
-        flags_cols = (est.presence_llr_cols >= 0).astype(float) / 2.0
-        for n in range(12):
-            assert est.presence_llr_cols[n] == pytest.approx(presence_llr(y[:, n], ref_params), rel=1e-12)
-            assert est.completeness_llr_cols[n] == pytest.approx(
-                completeness_llr(y[:, n], flags_rows, ref_params), rel=1e-12)
-        for m in range(12):
-            assert est.presence_llr_rows[m] == pytest.approx(presence_llr(y[m, :], ref_params), rel=1e-12)
-            assert est.completeness_llr_rows[m] == pytest.approx(
-                completeness_llr(y[m, :], flags_cols, ref_params), rel=1e-12)
+    @pytest.mark.parametrize("sigma", [30.0, 100.0, 350.0])
+    def test_kernel_matches_reference(self, sigma):
+        params = ChannelParams(sigma=sigma)
+        y = rng_of(int(sigma)).normal(500.0, 350.0, (12, 12))
+        presence, completeness, sneak = _cell_terms(y, params)
+        np.testing.assert_allclose(sneak, sneak_llr(y, params), rtol=1e-12, atol=1e-10)
+        mix10, mix1p = candidate_mixtures(y, params)
+        got_mix10, got_gain = _candidate_mixtures(y, params)
+        np.testing.assert_allclose(got_mix10, mix10, rtol=1e-12, atol=1e-10)
+        np.testing.assert_allclose(got_gain, mix1p - mix10, rtol=1e-12, atol=1e-10)
+        # Line sums: presence over each line, completeness weighted by the
+        # crossing lines' presence flags (as 2 x flags in the reference).
+        ref_rows = [presence_llr(y[m], params) for m in range(12)]
+        ref_cols = [presence_llr(y[:, n], params) for n in range(12)]
+        assert presence.sum(axis=1) == pytest.approx(ref_rows, rel=1e-12)
+        assert presence.sum(axis=0) == pytest.approx(ref_cols, rel=1e-12)
+        flags_rows = (np.array(ref_rows) >= 0).astype(float)
+        flags_cols = (np.array(ref_cols) >= 0).astype(float)
+        ref_comp_rows = [completeness_llr(y[m], flags_cols / 2.0, params) for m in range(12)]
+        ref_comp_cols = [completeness_llr(y[:, n], flags_rows / 2.0, params) for n in range(12)]
+        assert completeness @ flags_cols == pytest.approx(ref_comp_rows, rel=1e-12)
+        assert flags_rows @ completeness == pytest.approx(ref_comp_cols, rel=1e-12)
+        est = estimate_sp_types(y, params)
+        assert est.row_types.tolist() == reference_types(ref_rows, ref_comp_rows)
+        assert est.col_types.tolist() == reference_types(ref_cols, ref_comp_cols)
+        assert np.array_equal(est.sneak_llr, sneak)
 
     @pytest.mark.parametrize("shape", [(256, 256), (250, 250), (400, 130)])
     def test_row_tiles_match_one_pass(self, shape):
         params = ChannelParams(sigma=100.0)
         y = rng_of(2).normal(500.0, 350.0, shape)
-        t1, t2, sneak = _cell_terms(_exponent_fields(y, params), params.q)
+        t1, t2, sneak = _cell_terms(y, params)
         est = estimate_sp_types(y, params)
         assert np.array_equal(est.sneak_llr, sneak)
-        assert np.array_equal(est.presence_llr_rows, t1.sum(axis=1))
-        assert np.array_equal(est.presence_llr_cols, t1.sum(axis=0))
         flags_rows = (t1.sum(axis=1) >= 0.0).astype(float)
         flags_cols = (t1.sum(axis=0) >= 0.0).astype(float)
-        assert np.array_equal(est.completeness_llr_cols, flags_rows @ t2)
-        assert np.array_equal(est.completeness_llr_rows, t2 @ flags_cols)
+        assert np.array_equal(est.row_types, _line_types(t1.sum(axis=1), t2 @ flags_cols))
+        assert np.array_equal(est.col_types, _line_types(t1.sum(axis=0), flags_rows @ t2))
 
     def test_presence_invariant_under_permutation(self, ref_params):
         rng = rng_of(1)
@@ -338,6 +341,18 @@ class TestDoubleCandidates:
         (i1, i2), _ = double_sf_candidates(y, est, ref_params)
         assert {i1, i2} == {1, 3}
 
+    def test_whole_array_mixtures_pick_same_lines(self):
+        # Small arrays read the mixtures off one whole-array evaluation,
+        # larger ones evaluate them on the candidates' crossings only.
+        params = ChannelParams(sigma=150.0)
+        for seed in range(10):
+            _, _, _, y = sample_instance(48, params, (0.2, 0.3, 0.5), rng_of(seed))
+            est = estimate_sp_types(y, params)
+            for y_axis, est_axis in ((y, est), (y.T, _transposed(est))):
+                whole = _candidate_mixtures(y_axis, params)
+                assert (_candidate_rows(y_axis, est_axis, params)
+                        == _candidate_rows(y_axis, est_axis, params, whole))
+
 
 class TestPairLLR:
     def test_plugin_value(self, ref_params):
@@ -410,7 +425,7 @@ class TestRefinement:
     def test_no_partial_lines_passthrough(self, ref_params):
         y = rng_of(10).normal(500, 200, (8, 8))
         est = make_estimate([1, 1, 0, 0, 0, 0, 0, 0], [1, 1, 0, 0.5, 0, 0, 0, 0],
-                            _cell_terms(_exponent_fields(y, ref_params), ref_params.q)[2])
+                            _cell_terms(y, ref_params)[2])
         row_llr = np.linspace(-2, 2, 8)
         col_llr = np.linspace(1, -1, 8)
         l2r, l2c = refine_uncertain_pairs(est, (0, 1), (0, 1), row_llr, col_llr)
@@ -420,7 +435,7 @@ class TestRefinement:
     def test_neutral_priors_passthrough(self, ref_params):
         y = rng_of(11).normal(500, 200, (8, 8))
         est = make_estimate([0, 0, 0.5, 0.5, 0, 0, 0, 0], [0, 0, 0.5, 0.5, 0, 0, 0, 0],
-                            _cell_terms(_exponent_fields(y, ref_params), ref_params.q)[2])
+                            _cell_terms(y, ref_params)[2])
         row_llr = np.array([0.0, 0.0, 3.0, -1.0, 0, 0, 0, 0])
         col_llr = np.zeros(8)
         l2r, _ = refine_uncertain_pairs(est, (0, 1), (0, 1), row_llr, col_llr)
@@ -555,10 +570,13 @@ class TestNumericalRobustness:
         ks = np.concatenate([np.linspace(-1000, 1000, 401), [-1000.0, 1000.0]])
         for level in (params.r1, params.r0, params.r0_prime):
             y = level + ks * sigma
-            fields = _exponent_fields(y, params)
-            for surface in _cell_terms(fields, params.q):
+            terms = _cell_terms(y, params)
+            sneak = terms[2]
+            peak = float(np.max(np.abs(sneak)))
+            messages = [_messages_to_row_pair(np.array([prior]), sneak[None, :])
+                        for prior in (-peak, -1.0, 0.0, 1.0, peak)]
+            for surface in (*terms, *_candidate_mixtures(y, params), *messages):
                 assert np.all(np.isfinite(surface))
-            assert np.all(np.isfinite(_log_mix(fields, 0.5, 0.25, 0.25)))
 
     def test_pipeline_total_on_extreme_inputs(self):
         params = ChannelParams(sigma=30.0)
@@ -566,8 +584,9 @@ class TestNumericalRobustness:
         y = rng.choice([100.0, 200.0, 1000.0, -3e4, 3e4, 550.0], size=(16, 16))
         res = detect_array(y, params)
         assert set(np.unique(res.x_hat)) <= {0, 1}
-        assert np.all(np.isfinite(res.sp_types.presence_llr_rows))
-        assert np.all(np.isfinite(res.sp_types.completeness_llr_cols))
+        assert np.all(np.isfinite(res.sp_types.sneak_llr))
+        for surface in _cell_terms(y, params):
+            assert np.all(np.isfinite(surface))
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1e-6, 1e-3, 1.0, 30.0, 400.0]))
     @settings(max_examples=25, deadline=None)
@@ -576,7 +595,7 @@ class TestNumericalRobustness:
         rng = rng_of(seed)
         y = params.r1 + rng.uniform(-1000.0, 1000.0, (8, 8)) * sigma
         est = make_estimate([0, 1, 0.5, 0.5, 0, 0, 0, 0], [1, 0, 0.5, 0.5, 0, 0, 0, 0],
-                            _cell_terms(_exponent_fields(y, params), params.q)[2])
+                            _cell_terms(y, params)[2])
         row_llr = uncertain_pair_llr(y, (0, 1), (0.0, 1.0), params)
         col_llr = uncertain_pair_llr(y.T, (0, 1), (1.0, 0.0), params)
         assert np.all(np.isfinite(row_llr)) and np.all(np.isfinite(col_llr))

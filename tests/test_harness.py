@@ -284,6 +284,14 @@ class TestCLI:
         assert lines[0].startswith("sigma,N,q,p0,p1,p2,gamma,gamma_prime,bound_finite")
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("rs", ["200", "50"])
+    def test_bounds_rejects_sneak_level_not_above_r1(self, tmp_path, capsys, rs):
+        out = tmp_path / "bounds.csv"
+        code = cli_main(["bounds", "--r0", "200", "--r1", "100", "--rs", rs, "--out", str(out)])
+        assert code == 2
+        assert "r0'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_lemmas_subcommand(self, tmp_path, capsys):
         out = tmp_path / "events.csv"
         assert cli_main(["verify-lemmas", "--n", "12", "--q", "0.5",
