@@ -57,11 +57,6 @@ CASE_FALLBACK = "fallback"
 # per core, tiling measured slower up to N = 208 and faster from N = 224.
 _TILE_CELLS = 8192
 _ONE_PASS_CELLS = 6 * _TILE_CELLS
-# Arrays of up to _SHARED_MIXTURE_CELLS cells (N <= 45) evaluate the
-# candidate mixtures once over the whole array for both axes, which takes
-# fewer NumPy calls: measured faster up to N = 40, even at N = 48 and slower
-# at N = 64 than evaluating them per axis on the crossings that are read.
-_SHARED_MIXTURE_CELLS = 2048
 
 
 @dataclass(frozen=True)
@@ -288,8 +283,7 @@ def _candidate_mixtures(y: np.ndarray, params: ChannelParams, gain_rows=slice(No
     return mix10, gain
 
 
-def _candidate_rows(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams,
-                    mixtures=None) -> tuple[int, int]:
+def _candidate_rows(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams) -> tuple[int, int]:
     """The two rows that best match a failure row, ties to the lower index.
 
     A candidate row is scored against the column classes: class-0 columns
@@ -297,30 +291,24 @@ def _candidate_rows(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams,
     r1 and either r0 (candidate row clear) or r0' (candidate row fully
     affected, which puts a sneak path under its stored 0s).  Partially
     affected rows are no candidates unless fewer than two rows are left.
-    ``mixtures`` holds the whole array's (mix10, gain); without it they are
-    evaluated on the candidates' ambiguous crossings only.
+    The mixtures are evaluated on the candidates' ambiguous crossings only.
     """
     rows = np.flatnonzero(est.row_types != 0.5)
     if rows.size < 2:
         rows = np.arange(y.shape[0])
     row_types = est.row_types
-    if mixtures is None and rows.size < y.shape[0]:
+    if rows.size < y.shape[0]:
         y, row_types = y[rows], row_types[rows]
     ct = est.col_types
     terms = _log_kernel(y, np.where(ct == 0.0, params.r0, params.r1), params)
     half = np.flatnonzero(ct == 0.5)
     full = row_types == 1.0
     if half.size:
-        if mixtures is None:
-            mix10, gain = _candidate_mixtures(y[:, half], params, full)
-        else:
-            mix10, gain = mixtures[0][:, half], mixtures[1][full][:, half]
+        mix10, gain = _candidate_mixtures(y[:, half], params, full)
         terms[:, half] = mix10
     scores = terms.sum(axis=1)
     if half.size:
         scores[full] += gain.sum(axis=1)
-    if scores.size > rows.size:
-        scores = scores[rows]
     order = rows[np.argsort(-scores, kind="stable")]
     return int(order[0]), int(order[1])
 
@@ -328,12 +316,8 @@ def _candidate_rows(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams,
 def double_sf_candidates(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
     """Score every non-ambiguous line as a potential failure line, keep two."""
     y = np.asarray(y, dtype=float)
-    if y.size > _SHARED_MIXTURE_CELLS:
-        return (_candidate_rows(y, est, params),
-                _candidate_rows(y.T, _transposed(est), params))
-    mixtures = _candidate_mixtures(y, params)
-    return (_candidate_rows(y, est, params, mixtures),
-            _candidate_rows(y.T, _transposed(est), params, tuple(m.T for m in mixtures)))
+    return (_candidate_rows(y, est, params),
+            _candidate_rows(y.T, _transposed(est), params))
 
 
 def uncertain_pair_llr(

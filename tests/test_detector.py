@@ -37,11 +37,10 @@ from sneakpath.detector import (
     PATTERN_SINGLE,
     SPTypeEstimate,
     _candidate_mixtures,
-    _candidate_rows,
     _cell_terms,
     _line_types,
+    _log_kernel,
     _messages_to_row_pair,
-    _transposed,
     double_sf_candidates,
     locate_single_sf,
     refine_uncertain_pairs,
@@ -68,16 +67,38 @@ def reference_types(presence, completeness):
     return [0.0 if p < 0.0 else 0.5 if c < 0.0 else 1.0 for p, c in zip(presence, completeness)]
 
 
+def detector_presence(y_line, params):
+    """The detector's presence LLR of one line: its per-cell terms summed."""
+    return float(_cell_terms(np.asarray(y_line, dtype=float), params)[0].sum())
+
+
+def detector_completeness(y_line, crossing_flags, params):
+    """The detector's completeness LLR of one line, weighted by 2 x flags."""
+    weights = 2.0 * np.asarray(crossing_flags, dtype=float)
+    return float(weights @ _cell_terms(np.asarray(y_line, dtype=float), params)[1])
+
+
+def assert_same_line_llr(got, ref):
+    assert got == pytest.approx(ref, rel=1e-12, abs=1e-9)
+
+
 class TestMixtureDensity:
     def test_peaks(self, ref_params):
-        # Component kernels peak at 1.
+        # Component kernels peak at 1, in the reference and in the detector.
         assert mixture_density(100.0, 1.0, 0.0, 0.0, ref_params) == pytest.approx(1.0, rel=1e-12)
         assert mixture_density(1000.0, 0.0, 1.0, 0.0, ref_params) == pytest.approx(1.0, rel=1e-12)
+        assert _log_kernel(np.array([100.0]), ref_params.r1, ref_params) == 0.0
+        assert _log_kernel(np.array([1000.0]), ref_params.r0, ref_params) == 0.0
 
     def test_midpoint_value(self, ref_params):
         # 0.5 e^{-112.5} + 0.5 e^{-112.5} at equal distance 450 with sigma 30.
         got = mixture_density(550.0, 0.5, 0.5, 0.0, ref_params)
         assert got == pytest.approx(1.3863432936411706e-49, rel=1e-12)
+        # The detector's mix10 is the same mixture; at y = 150, halfway
+        # between r1 and r0', mix1p = mix10 + gain is -50^2 / (2 * 30^2).
+        mix10, gain = _candidate_mixtures(np.array([550.0, 150.0]), ref_params)
+        assert math.exp(mix10[0]) == pytest.approx(1.3863432936411706e-49, rel=1e-12)
+        assert mix10[1] + gain[1] == pytest.approx(-2500.0 / 1800.0, rel=1e-12)
 
 
 class TestTypeLLRs:
@@ -124,11 +145,14 @@ class TestTypeLLRs:
         rng = rng_of(1)
         y = rng.normal(400.0, 250.0, 32)
         perm = rng.permutation(32)
-        assert presence_llr(y, ref_params) == pytest.approx(
-            presence_llr(y[perm], ref_params), rel=1e-12)
+        for presence in (detector_presence, presence_llr):
+            assert presence(y, ref_params) == pytest.approx(
+                presence(y[perm], ref_params), rel=1e-12)
+        assert_same_line_llr(detector_presence(y, ref_params), presence_llr(y, ref_params))
 
     def test_no_flags_no_completeness_evidence(self, ref_params):
         y = rng_of(2).normal(500.0, 200.0, 16)
+        assert detector_completeness(y, np.zeros(16), ref_params) == 0.0
         assert completeness_llr(y, np.zeros(16), ref_params) == 0.0
 
     def test_presence_sign_separates_models(self, ref_params):
@@ -141,10 +165,14 @@ class TestTypeLLRs:
             u = rng.random(n)
             lvl = np.where(u < 0.5, 100.0, np.where(u < 0.75, 1000.0, 200.0))
             y = lvl + rng.normal(0, 30.0, n)
-            hits_pos += presence_llr(y, ref_params) > 0
+            got = detector_presence(y, ref_params)
+            assert_same_line_llr(got, presence_llr(y, ref_params))
+            hits_pos += got > 0
             lvl = np.where(rng.random(n) < 0.5, 100.0, 1000.0)
             y = lvl + rng.normal(0, 30.0, n)
-            hits_neg += presence_llr(y, ref_params) < 0
+            got = detector_presence(y, ref_params)
+            assert_same_line_llr(got, presence_llr(y, ref_params))
+            hits_neg += got < 0
         assert hits_pos / trials > 0.99
         assert hits_neg / trials > 0.99
 
@@ -158,11 +186,15 @@ class TestTypeLLRs:
             u = rng.random(n)
             lvl_full = np.where(u < 0.5, 100.0, 200.0)
             y = lvl_full + rng.normal(0, 30.0, n)
-            hits_pos += completeness_llr(y, flags, ref_params) > 0
+            got = detector_completeness(y, flags, ref_params)
+            assert_same_line_llr(got, completeness_llr(y, flags, ref_params))
+            hits_pos += got > 0
             u = rng.random(n)
             lvl_part = np.where(u < 0.5, 100.0, np.where(u < 0.75, 1000.0, 200.0))
             y = lvl_part + rng.normal(0, 30.0, n)
-            hits_neg += completeness_llr(y, flags, ref_params) < 0
+            got = detector_completeness(y, flags, ref_params)
+            assert_same_line_llr(got, completeness_llr(y, flags, ref_params))
+            hits_neg += got < 0
         assert hits_pos / trials > 0.99
         assert hits_neg / trials > 0.99
 
@@ -340,18 +372,6 @@ class TestDoubleCandidates:
         est = make_estimate([0.5, 0, 0.5, 0], [0, 0, 0, 0])
         (i1, i2), _ = double_sf_candidates(y, est, ref_params)
         assert {i1, i2} == {1, 3}
-
-    def test_whole_array_mixtures_pick_same_lines(self):
-        # Small arrays read the mixtures off one whole-array evaluation,
-        # larger ones evaluate them on the candidates' crossings only.
-        params = ChannelParams(sigma=150.0)
-        for seed in range(10):
-            _, _, _, y = sample_instance(48, params, (0.2, 0.3, 0.5), rng_of(seed))
-            est = estimate_sp_types(y, params)
-            for y_axis, est_axis in ((y, est), (y.T, _transposed(est))):
-                whole = _candidate_mixtures(y_axis, params)
-                assert (_candidate_rows(y_axis, est_axis, params)
-                        == _candidate_rows(y_axis, est_axis, params, whole))
 
 
 class TestPairLLR:
