@@ -9,7 +9,12 @@ pairing decision, and the final bit error count against the truth.
 import numpy as np
 
 from sneakpath import ChannelParams, detect_array, sample_readout
-from sneakpath.detector import PATTERN_DOUBLE, classify_sf_pattern, estimate_sp_types
+from sneakpath.detector import (
+    PATTERN_DOUBLE,
+    classify_sf_pattern,
+    double_sf_candidates,
+    estimate_sp_types,
+)
 from sneakpath.instances import KIND_DOUBLE_11, make_case_instance
 
 params = ChannelParams(sigma=120.0)
@@ -33,9 +38,9 @@ h = res.hypothesis
 print(f"failure count proposed by the classes: {classify_sf_pattern(est)}, "
       f"declared after the MAP step-down: {h.kind}")
 if h.kind == PATTERN_DOUBLE:
-    print(f"\ncandidate rows {h.row_candidates}, candidate cols {h.col_candidates}")
-    print(f"pairing case: {h.case}, chose primary pairing: {h.chose_h0}, "
-          f"score {h.pairing_score:.1f}")
+    rows, cols = double_sf_candidates(y, est, params)
+    print(f"\ncandidate rows {rows}, candidate cols {cols}")
+    print(f"pairing case: {h.case}, tie: {h.pairing_tie}")
 print(f"declared locations: {h.locations}")
 
 errors = int((res.x_hat != inst.x).sum())

@@ -16,10 +16,12 @@ The pipeline works on one noisy readout matrix at a time:
    bits read directly off the column/row classes; a partially affected line,
    which one failure cannot produce, gets the bit its cells support, in
    the line order whose sneak-path-capable cells score higher.
-4. Two failures: two candidate rows and columns are scored, the pairing
-   ambiguity is resolved (four sub-cases depending on the classes of the
-   candidate lines), and the genuinely ambiguous entries are refined with
-   cross messages between row pairs and column pairs.
+4. Two failures: two candidate rows and columns are scored, and each pair
+   gets a per-crossing LLR of which of its two lines holds the stored 1.
+   The pairing ambiguity is resolved (four sub-cases depending on the
+   classes of the candidate lines); when all four lines are fully affected
+   the pair LLRs are refined with cross messages between row pairs and
+   column pairs.  Each pair's bits are then set once from its LLR.
 5. Every remaining cell gets a per-cell MAP decision with one of two
    thresholds, depending on whether the recovered failure lines make the
    cell sneak-path-capable.
@@ -27,10 +29,10 @@ The pipeline works on one noisy readout matrix at a time:
 Each step is written for rows and applied to the transposed readout for
 columns, so transposing the readout transposes every decision.
 
-Everything is computed in the log domain, with one softplus kernel for
-every per-cell LLR; all LLRs stay finite for finite inputs regardless of
-how many noise standard deviations separate a sample from the nearest
-resistance level.
+Everything is computed in the log domain from one level LLR, linear in
+the readout, with one softplus kernel for every per-cell mixture; all LLRs
+stay finite for finite inputs regardless of how many noise standard
+deviations separate a sample from the nearest resistance level.
 """
 
 from __future__ import annotations
@@ -75,15 +77,11 @@ class SPTypeEstimate:
 
 @dataclass(frozen=True)
 class SFHypothesis:
-    """Declared failure pattern and everything decided along the way."""
+    """Declared failure pattern; for two failures, the pairing case and tie."""
 
     kind: str
     locations: tuple[tuple[int, int], ...] = ()
-    row_candidates: tuple[int, int] | None = None
-    col_candidates: tuple[int, int] | None = None
     case: str | None = None
-    chose_h0: bool | None = None
-    pairing_score: float | None = None
     pairing_tie: bool = False
 
 
@@ -93,7 +91,6 @@ class DetectionResult:
 
     x_hat: np.ndarray
     hypothesis: SFHypothesis
-    sp_types: SPTypeEstimate
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +176,12 @@ def estimate_sp_types(y: np.ndarray, params: ChannelParams) -> SPTypeEstimate:
     if y.size <= _ONE_PASS_CELLS:
         t1, t2, sneak_llr = _cell_terms(y, params)
     else:
-        t1, t2, sneak_llr = (np.empty_like(y) for _ in range(3))
+        # One block for the three terms.  detect_array keeps no estimate past
+        # its call, and on glibc three separate arrays of this size are
+        # trimmed off the heap when it ends and faulted in again on the next
+        # call (about 250 page faults at N = 256); a block this large raises
+        # glibc's trim threshold above it the first time it is freed.
+        t1, t2, sneak_llr = np.empty((3,) + y.shape)
         step = max(1, _TILE_CELLS // y.shape[1])
         for start in range(0, y.shape[0], step):
             rows = slice(start, start + step)
@@ -334,9 +336,7 @@ def uncertain_pair_llr(
     crossings, a clear one reads r0.  Swapping the pair negates the result.
     """
     ra, rb = (params.r0_prime if t == 1.0 else params.r0 for t in pair_types)
-    r1 = params.r1
-    s2 = 2.0 * params.sigma**2
-    return (2.0 * y[pair[0]] * (ra - r1) - 2.0 * y[pair[1]] * (rb - r1) + rb**2 - ra**2) / s2
+    return _level_llr(y[pair[0]], ra, params) - _level_llr(y[pair[1]], rb, params)
 
 
 def _pair_bits(line_types: np.ndarray, pair_llr: np.ndarray) -> np.ndarray:
@@ -356,61 +356,51 @@ def _pair_bits(line_types: np.ndarray, pair_llr: np.ndarray) -> np.ndarray:
     return bits
 
 
-@dataclass(frozen=True)
-class PairingDecision:
-    chose_h0: bool
-    case: str
-    score: float
-    tie: bool
-
-
 def resolve_pairing(
     y: np.ndarray,
     est: SPTypeEstimate,
     i_pair: tuple[int, int],
     j_pair: tuple[int, int],
-    row_pair_bits: np.ndarray,
-    col_pair_bits: np.ndarray,
+    row_llr: np.ndarray,
+    col_llr: np.ndarray,
     params: ChannelParams,
-) -> PairingDecision:
-    """Decide whether failures sit at (i1,j1),(i2,j2) or at (i1,j2),(i2,j1).
+) -> tuple[bool, str, bool]:
+    """Decide whether failures sit at (i1,j1),(i2,j2) (h0) or at (i1,j2),(i2,j1).
 
     The candidate line classes pick the method: all-clear lines expose the
     failed cells directly in the four crossings (stored 1s read r1); mixed
     classes pair each fully affected line with a clear one; all-complete
     falls back to counting incompatible plain-HRS cells implied by either
     pairing, as does any class pattern outside the three consistent ones.
+    ``row_llr`` and ``col_llr`` are the pair LLRs of ``i_pair`` and
+    ``j_pair`` (see :func:`uncertain_pair_llr`).  Returns (chose h0, case,
+    tie); a tie chooses h1.
     """
-    i1, i2 = i_pair
-    j1, j2 = j_pair
-    ti = (float(est.row_types[i1]), float(est.row_types[i2]))
-    tj = (float(est.col_types[j1]), float(est.col_types[j2]))
+    ti = tuple(float(est.row_types[i]) for i in i_pair)
+    tj = tuple(float(est.col_types[j]) for j in j_pair)
 
     if ti == (0.0, 0.0) and tj == (0.0, 0.0):
-        score = (
-            (y[i1, j1] + y[i2, j2] - y[i1, j2] - y[i2, j1])
-            * (params.r1 - params.r0)
-            / params.sigma**2
-        )
-        return PairingDecision(chose_h0=bool(score > 0.0), case=CASE_ALL_CLEAR,
-                               score=float(score), tie=bool(score == 0.0))
+        # Under h0 the diagonal crossings are the failed cells and read r1.
+        r0_llr = _level_llr(y[np.ix_(i_pair, j_pair)], params.r0, params)
+        score = r0_llr[0, 1] + r0_llr[1, 0] - (r0_llr[0, 0] + r0_llr[1, 1])
+        return bool(score > 0.0), CASE_ALL_CLEAR, bool(score == 0.0)
 
     if sorted(ti) == [0.0, 1.0] and sorted(tj) == [0.0, 1.0]:
         # A failure couples a fully affected line with a clear one.
-        chose_h0 = ti[0] != tj[0]
-        return PairingDecision(chose_h0=chose_h0, case=CASE_MIXED, score=math.nan, tie=False)
+        return ti[0] != tj[0], CASE_MIXED, False
 
     case = CASE_ALL_COMPLETE if ti == (1.0, 1.0) and tj == (1.0, 1.0) else CASE_FALLBACK
     # Hard-decide every outside cell to its nearest level; a pairing that
     # implies a sneak path over a cell reading plain r0 is contradicted.
     is_r0 = (y > (params.r0_prime + params.r0) / 2.0).astype(float)
-    row_diff = row_pair_bits[0].astype(float) - row_pair_bits[1].astype(float)
-    col_diff = col_pair_bits[1].astype(float) - col_pair_bits[0].astype(float)
-    row_diff[[j1, j2]] = 0.0
-    col_diff[[i1, i2]] = 0.0
+    row_bits = _pair_bits(est.col_types, row_llr).astype(float)
+    col_bits = _pair_bits(est.row_types, col_llr).astype(float)
+    row_diff = row_bits[0] - row_bits[1]
+    col_diff = col_bits[1] - col_bits[0]
+    row_diff[list(j_pair)] = 0.0
+    col_diff[list(i_pair)] = 0.0
     score = float(col_diff @ is_r0 @ row_diff)
-    return PairingDecision(chose_h0=bool(score > 0.0), case=case,
-                           score=score, tie=bool(score == 0.0))
+    return score > 0.0, case, score == 0.0
 
 
 def refine_uncertain_pairs(
@@ -524,51 +514,29 @@ def _detect_single(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
 
 def _detect_double(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
     i_pair, j_pair = double_sf_candidates(y, est, params)
-    i1, i2 = i_pair
-    j1, j2 = j_pair
-    ti = (float(est.row_types[i1]), float(est.row_types[i2]))
-    tj = (float(est.col_types[j1]), float(est.col_types[j2]))
-    row_llr = uncertain_pair_llr(y, i_pair, ti, params)
-    col_llr = uncertain_pair_llr(y.T, j_pair, tj, params)
-    row_bits = _pair_bits(est.col_types, row_llr)
-    col_bits = _pair_bits(est.row_types, col_llr)
+    (i1, i2), (j1, j2) = i_pair, j_pair
+    row_llr = uncertain_pair_llr(y, i_pair, (est.row_types[i1], est.row_types[i2]), params)
+    col_llr = uncertain_pair_llr(y.T, j_pair, (est.col_types[j1], est.col_types[j2]), params)
 
-    decision = resolve_pairing(y, est, i_pair, j_pair, row_bits, col_bits, params)
-    if decision.chose_h0:
-        ja, jb = j1, j2
-        col_llr_ordered = col_llr
-    else:
-        ja, jb = j2, j1
-        col_llr_ordered = -col_llr
-
-    if decision.case == CASE_ALL_COMPLETE:
-        row_llr, col_llr_ordered = refine_uncertain_pairs(
-            est, i_pair, (ja, jb), row_llr, col_llr_ordered
-        )
-        row_bits = _pair_bits(est.col_types, row_llr)
-    col_bits_ordered = _pair_bits(est.row_types, col_llr_ordered)
+    chose_h0, case, tie = resolve_pairing(y, est, i_pair, j_pair, row_llr, col_llr, params)
+    if not chose_h0:
+        # Order the column pair so that (i1, ja) and (i2, jb) fail.
+        j_pair, col_llr = (j2, j1), -col_llr
+    ja, jb = j_pair
+    if case == CASE_ALL_COMPLETE:
+        row_llr, col_llr = refine_uncertain_pairs(est, i_pair, j_pair, row_llr, col_llr)
 
     x_sf = np.zeros(y.shape, dtype=np.uint8)
-    x_sf[i1], x_sf[i2] = row_bits
-    x_sf[:, ja], x_sf[:, jb] = col_bits_ordered
+    x_sf[[i1, i2]] = _pair_bits(est.col_types, row_llr)
+    x_sf[:, [ja, jb]] = _pair_bits(est.row_types, col_llr).T
     # Failed cells store 1 by definition; the other two crossings follow the
     # class correspondence (fully affected line <=> crossing stores 1).
     x_sf[i1, ja] = 1
     x_sf[i2, jb] = 1
     x_sf[i1, jb] = 1 if (est.row_types[i1] == 1.0 or est.col_types[jb] == 1.0) else 0
     x_sf[i2, ja] = 1 if (est.row_types[i2] == 1.0 or est.col_types[ja] == 1.0) else 0
-
-    locations = ((i1, ja), (i2, jb))
-    hyp = SFHypothesis(
-        kind=PATTERN_DOUBLE,
-        locations=locations,
-        row_candidates=i_pair,
-        col_candidates=j_pair,
-        case=decision.case,
-        chose_h0=decision.chose_h0,
-        pairing_score=decision.score,
-        pairing_tie=decision.tie,
-    )
+    hyp = SFHypothesis(kind=PATTERN_DOUBLE, locations=((i1, ja), (i2, jb)),
+                       case=case, pairing_tie=tie)
     return x_sf, hyp
 
 
@@ -627,4 +595,4 @@ def detect_array(
         if score >= best:
             x_sf, hyp, best = cand_x_sf, cand_hyp, score
     x_hat = detect_non_sf(y, hyp.locations, x_sf, params)
-    return DetectionResult(x_hat=x_hat, hypothesis=hyp, sp_types=est)
+    return DetectionResult(x_hat=x_hat, hypothesis=hyp)

@@ -277,7 +277,12 @@ class EventEstimate:
 
 
 def estimate_event_frequency(event: str, n: int, q: float, trials: int, seed: int) -> EventEstimate:
-    """Estimate one event frequency with ``trials`` independent arrays."""
+    """Estimate one event frequency with ``trials`` independent arrays.
+
+    Raises ValueError unless ``trials`` is at least 1.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     predicted = event_probability(event, q, n)
     form = EVENT_FORMS[event]
     rng = np.random.default_rng(np.random.SeedSequence(seed))

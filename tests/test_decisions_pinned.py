@@ -1,7 +1,8 @@
 """Pinned detector decisions on a fixed seeded set of readouts.
 
 The digest covers every decision a caller sees: the bit estimate, the
-declared failure count and the sorted failure locations.  It changes only
+declared failure count, the sorted failure locations, and the pairing
+case and tie of a declared double failure.  It changes only
 when a detector decision changes, so a speed change to the LLR arithmetic
 must leave it as it is.
 """
@@ -16,13 +17,14 @@ from sneakpath.instances import make_case_library
 
 PRIORS = (REFERENCE_SF_DIST, SFCountDistribution(0.2, 0.3, 0.5))
 ARRAYS_PER_SETTING = 8
-PINNED_DECISIONS_SHA256 = "1434c7272138543f96df021d58d42a2b0a8124b5412358abec01f28b9be6706b"
+PINNED_DECISIONS_SHA256 = "db418367575069c22780753c6999ffb6fb50028dbefe68ac062c9187b2942023"
 
 
 def _update(digest, res) -> None:
     digest.update(np.ascontiguousarray(res.x_hat, dtype=np.uint8).tobytes())
     digest.update(res.hypothesis.kind.encode())
     digest.update(repr(sorted((int(i), int(j)) for i, j in res.hypothesis.locations)).encode())
+    digest.update(repr((res.hypothesis.case, res.hypothesis.pairing_tie)).encode())
 
 
 def decisions_digest() -> str:

@@ -31,6 +31,7 @@ from sneakpath.bounds import SFCountDistribution
 from sneakpath.detector import (
     CASE_ALL_CLEAR,
     CASE_ALL_COMPLETE,
+    CASE_FALLBACK,
     CASE_MIXED,
     PATTERN_DOUBLE,
     PATTERN_NONE,
@@ -398,36 +399,61 @@ class TestPairLLR:
             assert np.allclose(a, -b, rtol=1e-12)
 
 
+def pairing(y, est, i_pair, j_pair, params):
+    """``resolve_pairing`` on the pair LLRs the detector would pass it."""
+    row_llr = uncertain_pair_llr(y, i_pair, est.row_types[list(i_pair)], params)
+    col_llr = uncertain_pair_llr(y.T, j_pair, est.col_types[list(j_pair)], params)
+    return resolve_pairing(y, est, i_pair, j_pair, row_llr, col_llr, params)
+
+
 class TestPairing:
     def test_all_clear_plugin(self, ref_params):
+        # The primary pairing wins on the all-clear readout.
         y = np.full((4, 4), 550.0)
         y[0, 0] = y[2, 2] = 100.0
         y[0, 2] = y[2, 0] = 1000.0
         est = make_estimate([0, 0, 0, 0], [0, 0, 0, 0])
-        bits = np.zeros((2, 4), dtype=np.uint8)
-        d = resolve_pairing(y, est, (0, 2), (0, 2), bits, bits, ref_params)
-        assert d.case == CASE_ALL_CLEAR
-        assert d.score == pytest.approx(1620000.0 / ref_params.sigma**2, rel=1e-12)
-        assert d.chose_h0 and not d.tie
+        assert pairing(y, est, (0, 2), (0, 2), ref_params) == (True, CASE_ALL_CLEAR, False)
+
+    @pytest.mark.parametrize("ti, tj, case", [
+        ((0, 0), (0, 0), CASE_ALL_CLEAR),
+        ((1, 0), (0, 1), CASE_MIXED),
+        ((1, 1), (1, 1), CASE_ALL_COMPLETE),
+        ((1, 0), (1, 1), CASE_FALLBACK),
+    ])
+    def test_swapping_column_pair_flips_choice(self, ti, tj, case, ref_params):
+        rest = [0.5, 0.5, 0.5, 0.0, 1.0, 0.5]
+        est = make_estimate([*ti, *rest], [*tj, *rest])
+        decided = 0
+        for seed in range(8):
+            y = rng_of(seed).uniform(0.0, 1200.0, (8, 8))
+            chose_h0, got_case, tie = pairing(y, est, (0, 1), (0, 1), ref_params)
+            assert got_case == case
+            # A tie stays a tie and goes to h1 either way.
+            swapped = (not chose_h0 and not tie, case, tie)
+            assert pairing(y, est, (0, 1), (1, 0), ref_params) == swapped
+            decided += not tie
+        assert decided >= 4
+
+    def test_all_equal_readout_ties(self, ref_params):
+        y = np.full((4, 4), 550.0)
+        est = make_estimate([0, 0, 0, 0], [0, 0, 0, 0])
+        assert pairing(y, est, (0, 2), (0, 2), ref_params) == (False, CASE_ALL_CLEAR, True)
 
     def test_identical_pair_bits_tie_to_h1(self, ref_params):
+        # No ambiguous crossing, so both pairs' bits agree on every line.
         y = rng_of(8).normal(500, 200, (6, 6))
         est = make_estimate([1, 1, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0])
-        same = np.ones((2, 6), dtype=np.uint8)
-        d = resolve_pairing(y, est, (0, 1), (0, 1), same, same.T.copy().T, ref_params)
-        assert d.case == CASE_ALL_COMPLETE
-        assert d.score == 0.0
-        assert d.tie and not d.chose_h0
+        assert pairing(y, est, (0, 1), (0, 1), ref_params) == (False, CASE_ALL_COMPLETE, True)
 
     def test_mixed_case_pairs_by_class(self, ref_params):
         y = np.zeros((4, 4))
-        bits = np.zeros((2, 4), dtype=np.uint8)
+        llr = np.zeros(4)
         est = make_estimate([1, 0, 0, 0], [0, 1, 0, 0])
-        d = resolve_pairing(y, est, (0, 1), (0, 1), bits, bits, ref_params)
-        assert d.case == CASE_MIXED and d.chose_h0  # full row 0 with clear col 0
+        # Full row 0 pairs with clear column 0.
+        assert resolve_pairing(y, est, (0, 1), (0, 1), llr, llr, ref_params)[:2] == (True, CASE_MIXED)
         est = make_estimate([1, 0, 0, 0], [1, 0, 0, 0])
-        d = resolve_pairing(y, est, (0, 1), (0, 1), bits, bits, ref_params)
-        assert d.case == CASE_MIXED and not d.chose_h0
+        assert resolve_pairing(y, est, (0, 1), (0, 1), llr, llr, ref_params)[:2] == (False, CASE_MIXED)
 
     def test_noiseless_mixed_instances_localized(self):
         params = ChannelParams(sigma=1e-6)
@@ -604,7 +630,6 @@ class TestNumericalRobustness:
         y = rng.choice([100.0, 200.0, 1000.0, -3e4, 3e4, 550.0], size=(16, 16))
         res = detect_array(y, params)
         assert set(np.unique(res.x_hat)) <= {0, 1}
-        assert np.all(np.isfinite(res.sp_types.sneak_llr))
         for surface in _cell_terms(y, params):
             assert np.all(np.isfinite(surface))
 

@@ -299,3 +299,11 @@ class TestCLI:
         lines = out.read_text().splitlines()
         assert len(lines) == 7  # header + six events
         assert "worst |z|" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_verify_lemmas_rejects_no_trials(self, tmp_path, capsys, trials):
+        out = tmp_path / "events.csv"
+        code = cli_main(["verify-lemmas", "--n", "12", "--trials", trials, "--out", str(out)])
+        assert code == 2
+        assert "error: trials must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
