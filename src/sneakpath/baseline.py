@@ -15,8 +15,8 @@ import numpy as np
 from .bounds import SFCountDistribution, q_function
 from .channel import ChannelParams
 
-# Grid points between the coarse samples of :func:`optimal_threshold`.
-_COARSE_STRIDE = 100
+# Grid strides of the successive brackets of :func:`optimal_threshold`.
+_STRIDES = (10_000, 100, 1)
 
 
 def marginal_error(t, params: ChannelParams, p: SFCountDistribution):
@@ -25,9 +25,9 @@ def marginal_error(t, params: ChannelParams, p: SFCountDistribution):
     q = params.q
     psp = p.sp_potential_probability(q)
     sig = params.sigma
-    miss_one = q_function((t - params.r1) / sig)
-    miss_zero_clear = q_function((params.r0 - t) / sig)
-    miss_zero_sp = q_function((params.r0_prime - t) / sig)
+    # The three tails in one q_function call: each erfc call has a fixed cost.
+    miss_one, miss_zero_clear, miss_zero_sp = q_function(
+        np.stack(((t - params.r1) / sig, (params.r0 - t) / sig, (params.r0_prime - t) / sig)))
     return q * miss_one + (1.0 - q) * ((1.0 - psp) * miss_zero_clear + psp * miss_zero_sp)
 
 
@@ -43,11 +43,12 @@ def optimal_threshold(
     (1 - q) R(t) - q with R(t) = [(1 - psp) phi((r0 - t)/sigma)
     + psp phi((r0' - t)/sigma)] / phi((t - r1)/sigma), a positive mix of
     exponentials increasing in t (r0, r0' > r1), so the error falls, then
-    rises, once.  Hence the first minimum of every ``_COARSE_STRIDE``-th grid
-    point lies within one stride of the first minimum of the whole grid, and
-    searching that window returns the same grid point from about 2% of the
-    evaluations (the tests compare both over q, priors and sigma from 1e-3
-    to 5e3).  Only the evaluated points are built.
+    rises, once.  Hence on any window of the grid that holds the first
+    minimum of the whole grid, the first minimum over every s-th point of
+    the window lies within s points of it.  The search narrows the window
+    with the strides in ``_STRIDES`` and returns the same grid point from
+    421 of the 180001 evaluations (the tests compare both over q, priors
+    and sigma from 1e-3 to 5e3).  Only the evaluated points are built.
 
     Raises ValueError if ``grid_points`` is below 2.
     """
@@ -59,10 +60,14 @@ def optimal_threshold(
         # Points k of np.linspace(r1, r0, grid_points), bit for bit.
         return np.where(k == grid_points - 1, params.r0, k * step + params.r1)
 
-    coarse = grid(np.arange(0, grid_points, _COARSE_STRIDE))
-    c = int(np.argmin(marginal_error(coarse, params, p))) * _COARSE_STRIDE
-    window = grid(np.arange(max(c - _COARSE_STRIDE, 0), min(c + _COARSE_STRIDE + 1, grid_points)))
-    return float(window[int(np.argmin(marginal_error(window, params, p)))])
+    lo, hi = 0, grid_points - 1
+    for stride in _STRIDES:
+        k = np.arange(lo, hi + 1, stride)
+        ts = grid(k)
+        best = int(np.argmin(marginal_error(ts, params, p)))
+        c = int(k[best])
+        lo, hi = max(c - stride, lo), min(c + stride, hi)
+    return float(ts[best])
 
 
 def detect_baseline(y: np.ndarray, threshold: float) -> np.ndarray:

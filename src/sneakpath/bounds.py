@@ -4,6 +4,10 @@ The genie bound assumes the failure rows and columns are recovered exactly,
 leaving only the per-cell two-threshold decision over the remaining cells.
 It is the floor any detector on this channel can reach, and the simulated
 detector is compared against it.
+
+The Gaussian tails come from :func:`erfc`, a vectorized port of the Cephes
+``erfc`` (S. L. Moshier, ``ndtr.c``) that ``scipy.special.erfc`` runs.  It
+gives SciPy's results bit for bit, so the package needs numpy only.
 """
 
 from __future__ import annotations
@@ -12,9 +16,28 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .channel import ChannelParams
+
+# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| < 1, and
+# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8, R(x) / S(x) from 8 up.
+# The leading 1.0 of U, Q and S is the monic term of Cephes' p1evl.
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+# Past x^2 = MAXLOG, exp(-x^2) underflows and erfc is 0 (x > 0) or 2.
+_MAXLOG = 7.09782712893383996843e2
 
 
 @dataclass(frozen=True)
@@ -41,6 +64,43 @@ class SFCountDistribution:
 
 
 REFERENCE_SF_DIST = SFCountDistribution(0.5, 0.4, 0.1)
+
+
+def _horner(x, coefs):
+    """Cephes polevl: the polynomial with ``coefs`` highest power first."""
+    acc = coefs[0]
+    for c in coefs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def erfc(x):
+    """Complementary error function of a scalar or array, as scipy.special.erfc.
+
+    Every step is one IEEE operation in Cephes' order, and exp(-x^2) comes
+    from ``math.exp`` (the C library's exp, as in SciPy; ``np.exp`` rounds
+    some values differently).  NaN gives NaN.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    a = np.abs(flat)
+    out = np.full(flat.shape, np.nan)  # NaN takes no branch below
+    small = a < 1.0  # erfc = 1 - erf
+    xs = flat[small]
+    z = xs * xs
+    out[small] = 1.0 - xs * _horner(z, _T) / _horner(z, _U)
+    with np.errstate(over="ignore"):  # a * a is inf past 1e154, as in C
+        under = a * a > _MAXLOG
+    out[under] = np.where(flat[under] < 0.0, 2.0, 0.0)
+    tail = (a >= 1.0) & ~under  # erfc(|x|) = exp(-x^2) P/Q or R/S; 2 - that for x < 0
+    at = a[tail]
+    e = np.fromiter(map(math.exp, (-(at * at)).tolist()), float, at.size)
+    y = np.empty_like(at)
+    for part, num, den in ((at < 8.0, _P, _Q), (at >= 8.0, _R, _S)):
+        v = at[part]
+        y[part] = e[part] * _horner(v, num) / _horner(v, den)
+    out[tail] = np.where(flat[tail] < 0.0, 2.0 - y, y)
+    return out.reshape(x.shape)[()]
 
 
 def q_function(x):

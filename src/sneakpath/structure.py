@@ -279,10 +279,12 @@ class EventEstimate:
 def estimate_event_frequency(event: str, n: int, q: float, trials: int, seed: int) -> EventEstimate:
     """Estimate one event frequency with ``trials`` independent arrays.
 
-    Raises ValueError unless ``trials`` is at least 1.
+    Raises ValueError unless ``trials`` is at least 1 and ``seed`` nonnegative.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     predicted = event_probability(event, q, n)
     form = EVENT_FORMS[event]
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erfc
 
 from sneakpath import ChannelParams, SFCountDistribution, SFPattern, compute_sp_indicators, detect_baseline
 from sneakpath.baseline import marginal_error, optimal_threshold
@@ -13,9 +16,21 @@ SEARCH_SIGMAS = np.geomspace(1e-3, 5e3, 74)
 
 
 def full_grid_threshold(params, p, grid_points=180001):
-    """Reference: first minimum of the error over every grid point."""
+    """Reference: first minimum of the error over every grid point.
+
+    The error is :func:`marginal_error`'s formula with its tails taken from
+    ``scipy.special.erfc``, independent of the package's own erfc.
+    """
     ts = np.linspace(params.r1, params.r0, grid_points)
-    return ts[np.argmin(marginal_error(ts, params, p))]
+
+    def tail(x):
+        return 0.5 * erfc(x / math.sqrt(2.0))
+
+    q, sig = params.q, params.sigma
+    psp = p.sp_potential_probability(q)
+    err = q * tail((ts - params.r1) / sig) + (1.0 - q) * (
+        (1.0 - psp) * tail((params.r0 - ts) / sig) + psp * tail((params.r0_prime - ts) / sig))
+    return ts[np.argmin(err)]
 
 
 class TestThresholdChoice:

@@ -1,12 +1,16 @@
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from sneakpath import ChannelParams, SFCountDistribution, asymptotic_bound, ber_lower_bound, q_function, thresholds
-from sneakpath.bounds import genie_error_symmetric
+from sneakpath.bounds import erfc, genie_error_symmetric
 
 PA = SFCountDistribution(0.5, 0.4, 0.1)
 
@@ -34,6 +38,57 @@ class TestQFunction:
     def test_vectorized(self):
         xs = np.array([0.0, 1.0, 2.0])
         assert q_function(xs).shape == (3,)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# sqrt(MAXLOG): past it exp(-x^2) underflows and erfc is exactly 0 or 2.
+UNDERFLOW_EDGE = math.sqrt(7.09782712893383996843e2)
+EXACT_INPUTS = [0.0, 1.0, 8.0, 26.64, UNDERFLOW_EDGE, np.nextafter(1.0, 0.0), np.nextafter(8.0, 0.0),
+                np.nextafter(UNDERFLOW_EDGE, np.inf), 5e-324, 1e300, np.inf]
+
+
+class TestErfcMatchesScipy:
+    """The in-repo erfc is SciPy's Cephes erfc, bit for bit."""
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (1.0, 8.0), (8.0, UNDERFLOW_EDGE), (UNDERFLOW_EDGE, 1e3)],
+                             ids=["erf-series", "PQ-fit", "RS-fit", "underflow"])
+    def test_each_branch(self, lo, hi):
+        rng = np.random.default_rng(11)
+        x = rng.uniform(lo, hi, 10**5) * rng.choice([-1.0, 1.0], 10**5)
+        assert same_bits(erfc(x), special.erfc(x))
+        assert same_bits(q_function(x), 0.5 * special.erfc(x / math.sqrt(2.0)))
+
+    def test_exact_inputs(self):
+        x = np.array(EXACT_INPUTS + [-v for v in EXACT_INPUTS])
+        assert same_bits(erfc(x), special.erfc(x))
+        assert same_bits(q_function(x), 0.5 * special.erfc(x / math.sqrt(2.0)))
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(erfc(np.nan))
+        assert np.isnan(q_function(np.nan))
+        got = erfc(np.array([np.nan, 0.0, -np.nan]))
+        assert np.isnan(got[[0, 2]]).all() and got[1] == 1.0
+
+    def test_shapes(self):
+        assert np.ndim(erfc(0.5)) == 0 and np.ndim(q_function(0.5)) == 0
+        assert erfc(np.zeros((2, 3, 4))).shape == (2, 3, 4)
+        assert q_function(np.zeros((3, 1))).shape == (3, 1)
+        assert erfc(np.zeros(0)).shape == (0,)
+        assert same_bits(erfc([[0.25, 2.5], [-9.0, 30.0]]), special.erfc([[0.25, 2.5], [-9.0, 30.0]]))
+
+
+def test_import_loads_no_scipy():
+    # The package runs on numpy alone; SciPy is a test dependency only.
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import sneakpath, sneakpath.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe, str(src)],
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"
 
 
 class TestThresholds:

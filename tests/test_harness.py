@@ -307,3 +307,10 @@ class TestCLI:
         assert code == 2
         assert "error: trials must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_verify_lemmas_rejects_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "events.csv"
+        code = cli_main(["verify-lemmas", "--n", "12", "--trials", "10", "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert "error: seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
