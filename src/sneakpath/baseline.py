@@ -15,7 +15,9 @@ import numpy as np
 from .bounds import SFCountDistribution, q_function
 from .channel import ChannelParams
 
-# Grid strides of the successive brackets of :func:`optimal_threshold`.
+# Threshold grid size, and the grid strides of the successive brackets of
+# :func:`optimal_threshold`.
+_GRID_POINTS = 180001
 _STRIDES = (10_000, 100, 1)
 
 
@@ -31,13 +33,11 @@ def marginal_error(t, params: ChannelParams, p: SFCountDistribution):
     return q * miss_one + (1.0 - q) * ((1.0 - psp) * miss_zero_clear + psp * miss_zero_sp)
 
 
-def optimal_threshold(
-    params: ChannelParams, p: SFCountDistribution, grid_points: int = 180001
-) -> float:
-    """Threshold minimizing :func:`marginal_error` on a fine grid over (r1, r0).
+def optimal_threshold(params: ChannelParams, p: SFCountDistribution) -> float:
+    """Threshold minimizing :func:`marginal_error` on a fixed grid over [r1, r0].
 
-    Grid resolution is (r0 - r1) / (grid_points - 1), 5 mOhm at the default
-    levels; ties resolve to the smallest threshold.
+    The grid is np.linspace(r1, r0, _GRID_POINTS): 180001 points, 5 mOhm
+    apart at the default levels.  Ties resolve to the smallest threshold.
 
     The error is quasi-convex on [r1, r0]: its slope has the sign of
     (1 - q) R(t) - q with R(t) = [(1 - psp) phi((r0 - t)/sigma)
@@ -49,18 +49,14 @@ def optimal_threshold(
     with the strides in ``_STRIDES`` and returns the same grid point from
     421 of the 180001 evaluations (the tests compare both over q, priors
     and sigma from 1e-3 to 5e3).  Only the evaluated points are built.
-
-    Raises ValueError if ``grid_points`` is below 2.
     """
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
-    step = (params.r0 - params.r1) / (grid_points - 1)
+    step = (params.r0 - params.r1) / (_GRID_POINTS - 1)
 
     def grid(k):
-        # Points k of np.linspace(r1, r0, grid_points), bit for bit.
-        return np.where(k == grid_points - 1, params.r0, k * step + params.r1)
+        # Points k of np.linspace(r1, r0, _GRID_POINTS), bit for bit.
+        return np.where(k == _GRID_POINTS - 1, params.r0, k * step + params.r1)
 
-    lo, hi = 0, grid_points - 1
+    lo, hi = 0, _GRID_POINTS - 1
     for stride in _STRIDES:
         k = np.arange(lo, hi + 1, stride)
         ts = grid(k)

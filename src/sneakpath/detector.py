@@ -276,7 +276,10 @@ def _candidate_mixtures(y: np.ndarray, params: ChannelParams, gain_rows=slice(No
     or r0' when its row is fully affected.  Returns the first, mix10 =
     d1 + log 1/2 + sp(level LLR of r0) with d1 the r1 log-kernel, and the
     gain mix1p - mix10 = sp(level LLR of r0') - sp(level LLR of r0) on the
-    rows ``gain_rows`` only.
+    rows ``gain_rows`` only.  The weight 1/2 on r1 holds whatever q is: it is
+    the chance that a singly supported column's 1 sits on a given failure row.
+    ``est.sneak_llr`` weighs r1 by q instead, so the gain equals it only at
+    q = 1/2; reusing it would need a separate path for that q alone.
     """
     sp0 = _softplus(_level_llr(y, params.r0, params))
     mix10 = _log_kernel(y, params.r1, params) + _LOG_HALF + sp0
@@ -305,12 +308,9 @@ def _candidate_rows(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams) -
     terms = _log_kernel(y, np.where(ct == 0.0, params.r0, params.r1), params)
     half = np.flatnonzero(ct == 0.5)
     full = row_types == 1.0
-    if half.size:
-        mix10, gain = _candidate_mixtures(y[:, half], params, full)
-        terms[:, half] = mix10
+    terms[:, half], gain = _candidate_mixtures(y[:, half], params, full)
     scores = terms.sum(axis=1)
-    if half.size:
-        scores[full] += gain.sum(axis=1)
+    scores[full] += gain.sum(axis=1)
     order = rows[np.argsort(-scores, kind="stable")]
     return int(order[0]), int(order[1])
 
@@ -426,8 +426,6 @@ def refine_uncertain_pairs(
     unc_rows = np.flatnonzero(_partial_lines(est.row_types, i_pair))
     l2_rows = row_pair_llr.astype(float)
     l2_cols = col_pair_llr.astype(float)
-    if unc_cols.size == 0 or unc_rows.size == 0:
-        return l2_rows, l2_cols
     sneak = est.sneak_llr[np.ix_(unc_rows, unc_cols)]
     l2_rows[unc_cols] += _messages_to_row_pair(col_pair_llr[unc_rows], sneak)
     l2_cols[unc_rows] += _messages_to_row_pair(row_pair_llr[unc_cols], sneak.T)

@@ -11,7 +11,6 @@ processes execute the trials.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -201,6 +200,8 @@ def run_experiment(cfg: ExperimentConfig, timer=time.perf_counter) -> list[Exper
     records: list[ExperimentRecord] = []
     ranges = _chunk_ranges(cfg.trials, cfg.workers)
     parallel = cfg.workers > 1 and len(ranges) > 1
+    if parallel:  # imported here, as loading it costs every run that starts no pool
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=cfg.workers) if parallel else nullcontext() as pool:
         for sigma_index, sigma in enumerate(cfg.sigma_list):
             t_start = timer()
@@ -254,31 +255,6 @@ def write_results(records: list[ExperimentRecord], path: str) -> None:
          r.sfrc_bits, r.sfrc_errors, r.sfrc_ber, r.bound_finite, r.bound_asymptotic,
          r.seed, r.elapsed_ms)
         for r in records))
-
-
-def read_results(path: str) -> list[ExperimentRecord]:
-    """Parse a results CSV back into records (inverse of write_results)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln]
-    except OSError as err:
-        raise OSError(f"cannot read results from {path!r}: {err}") from err
-    if not lines or lines[0] != ",".join(CSV_FIELDS):
-        raise ValueError(f"unrecognized results header in {path!r}")
-    records = []
-    for ln in lines[1:]:
-        v = dict(zip(CSV_FIELDS, ln.split(",")))
-        records.append(ExperimentRecord(
-            sigma=float(v["sigma"]), n=int(v["N"]), q=float(v["q"]),
-            sf_dist=SFCountDistribution(float(v["p0"]), float(v["p1"]), float(v["p2"])),
-            detector=v["detector"], trials=int(v["trials"]), bits=int(v["bits"]),
-            bit_errors=int(v["bit_errors"]), sf_loc_trials=int(v["sf_loc_trials"]),
-            sf_loc_errors=int(v["sf_loc_errors"]), sfrc_bits=int(v["sfrc_bits"]),
-            sfrc_errors=int(v["sfrc_errors"]), bound_finite=float(v["bound_finite"]),
-            bound_asymptotic=float(v["bound_asymptotic"]), seed=int(v["seed"]),
-            elapsed_ms=float(v["elapsed_ms"]),
-        ))
-    return records
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,13 @@ SEARCH_PRIORS = [PA, SFCountDistribution(0.2, 0.3, 0.5), NO_SF, SFCountDistribut
 SEARCH_SIGMAS = np.geomspace(1e-3, 5e3, 74)
 
 
-def full_grid_threshold(params, p, grid_points=180001):
+def full_grid_threshold(params, p):
     """Reference: first minimum of the error over every grid point.
 
     The error is :func:`marginal_error`'s formula with its tails taken from
     ``scipy.special.erfc``, independent of the package's own erfc.
     """
-    ts = np.linspace(params.r1, params.r0, grid_points)
+    ts = np.linspace(params.r1, params.r0, 180001)
 
     def tail(x):
         return 0.5 * erfc(x / math.sqrt(2.0))
@@ -70,20 +70,6 @@ class TestThresholdSearch:
         for sigma in SEARCH_SIGMAS:
             params = ChannelParams(sigma=float(sigma), q=q)
             assert optimal_threshold(params, p) == full_grid_threshold(params, p), sigma
-
-    @pytest.mark.parametrize("grid_points", [2, 3, 101, 1001])
-    def test_small_grids_match_full_grid(self, grid_points):
-        for q in (0.1, 0.5, 0.9):
-            for p in SEARCH_PRIORS:
-                for sigma in SEARCH_SIGMAS:
-                    params = ChannelParams(sigma=float(sigma), q=q)
-                    assert (optimal_threshold(params, p, grid_points)
-                            == full_grid_threshold(params, p, grid_points)), (q, p, sigma)
-
-    @pytest.mark.parametrize("grid_points", [0, 1])
-    def test_grid_smaller_than_two_points_rejected(self, grid_points):
-        with pytest.raises(ValueError, match="at least 2"):
-            optimal_threshold(ChannelParams(sigma=100.0), PA, grid_points)
 
 
 class TestDetection:

@@ -82,10 +82,12 @@ class TestErfcMatchesScipy:
 
 
 def test_import_loads_no_scipy():
-    # The package runs on numpy alone; SciPy is a test dependency only.
+    # The package runs on numpy alone; SciPy is a test dependency only.  The
+    # process pool's modules load only when a sweep starts a pool.
     src = Path(__file__).resolve().parent.parent / "src"
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import sneakpath, sneakpath.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')"
+             " or m == 'concurrent.futures.process'))")
     done = subprocess.run([sys.executable, "-c", probe, str(src)],
                           capture_output=True, text=True, check=True, timeout=120)
     assert done.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import concurrent.futures
+import csv
 import hashlib
 import os
 from dataclasses import replace
@@ -18,7 +20,6 @@ from sneakpath.harness import (
     parse_detectors,
     parse_sf_dist,
     parse_sigma_list,
-    read_results,
     run_experiment,
     sf_diagnostics,
     write_results,
@@ -29,6 +30,11 @@ PA = SFCountDistribution(0.5, 0.4, 0.1)
 
 def fixed_timer():
     return 0.0
+
+
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestConfig:
@@ -164,11 +170,12 @@ class TestRunExperiment:
     def test_one_pool_per_sweep(self, monkeypatch):
         pools = []
 
-        class CountingPool(harness.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(self)
                 super().__init__(*args, **kwargs)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        # run_experiment imports the pool class when it starts a pool.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         cfg = ExperimentConfig(n=16, sigma_list=(50.0, 150.0, 250.0), trials=8, seed=5,
                                workers=2, detectors=("proposed",))
         recs = run_experiment(cfg, timer=fixed_timer)
@@ -208,13 +215,6 @@ class TestPersistence:
             "sf_loc_trials,sf_loc_errors,sf_loc_err_rate,sfrc_bits,sfrc_errors,"
             "sfrc_ber,bound_finite,bound_asymptotic,seed,elapsed_ms\n")
 
-    def test_round_trip(self, tmp_path):
-        cfg = ExperimentConfig(n=16, sigma_list=(60.0, 120.0), trials=6, seed=6)
-        recs = run_experiment(cfg, timer=fixed_timer)
-        path = tmp_path / "out.csv"
-        write_results(recs, str(path))
-        assert read_results(str(path)) == recs
-
     def test_csv_bytes_pinned(self, tmp_path):
         cfg = ExperimentConfig(n=16, sigma_list=(80.0, 200.0), trials=20, seed=41)
         recs = run_experiment(cfg, timer=fixed_timer)
@@ -245,8 +245,8 @@ class TestCLI:
             "simulate", "--n", "16", "--sigma", "80", "--trials", "5",
             "--detector", "both", "--seed", "11", "--out", str(out)])
         assert code == 0
-        recs = read_results(str(out))
-        assert {r.detector for r in recs} == {"proposed", "baseline"}
+        rows = read_csv(out)
+        assert {r["detector"] for r in rows} == {"proposed", "baseline"}
         assert "wrote 2 records" in capsys.readouterr().out
 
     def test_simulate_with_config_file(self, tmp_path):
@@ -254,16 +254,16 @@ class TestCLI:
         out = tmp_path / "sim.csv"
         cfgfile.write_text(f"n=16\nsigma=90\ntrials=4\ndetector=proposed\nout={out}\n")
         assert cli_main(["simulate", "--config", str(cfgfile), "--trials", "3"]) == 0
-        recs = read_results(str(out))
-        assert recs[0].trials == 3
+        rows = read_csv(out)
+        assert int(rows[0]["trials"]) == 3
 
     def test_simulate_oracle_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
         assert cli_main(["simulate", "--n", "16", "--sigma", "80", "--trials", "5",
                          "--detector", "oracle", "--seed", "11", "--out", str(out)]) == 0
-        (rec,) = read_results(str(out))
-        assert rec.detector == DETECTOR_ORACLE
-        assert rec.sf_loc_trials == 5 and rec.sf_loc_errors == 0
+        (row,) = read_csv(out)
+        assert row["detector"] == DETECTOR_ORACLE
+        assert int(row["sf_loc_trials"]) == 5 and int(row["sf_loc_errors"]) == 0
         assert "wrote 1 records" in capsys.readouterr().out
 
     def test_simulate_rejects_bad_distribution(self, capsys):
