@@ -117,12 +117,13 @@ def place_sfs(x: np.ndarray, k: int, rng: np.random.Generator) -> SFPattern:
     """Place ``k`` active failures uniformly on 1-cells of ``x``.
 
     For k=2 the two cells must occupy distinct rows and distinct columns;
-    the pair is uniform over all such pairs.  Raises InfeasibleSFError when
-    ``x`` has no valid placement.
+    the pair is uniform over all such pairs.  Raises InfeasibleSFError,
+    before drawing anything, when ``x`` has no valid placement.
     """
     if k == 0:
         return SFPattern(())
-    ones = np.flatnonzero(x == 1)
+    is_one = x == 1
+    ones = np.flatnonzero(is_one)
     width = x.shape[1]
     if k == 1:
         if len(ones) == 0:
@@ -130,26 +131,17 @@ def place_sfs(x: np.ndarray, k: int, rng: np.random.Generator) -> SFPattern:
         return SFPattern((divmod(int(ones[rng.integers(len(ones))]), width),))
     if k != 2:
         raise ValueError(f"selector-failure count must be 0, 1, or 2, got {k}")
-    if len(ones) < 2:
-        raise InfeasibleSFError("fewer than two 1-cells available")
+    # Two 1-cells in distinct rows and columns exist iff the 1-cells span two
+    # rows and two columns (of two 1-cells in different rows that share a
+    # column, any 1-cell off that column pairs with one).
+    if np.count_nonzero(is_one.any(axis=1)) < 2 or np.count_nonzero(is_one.any(axis=0)) < 2:
+        raise InfeasibleSFError("no two 1-cells lie in distinct rows and columns")
     # Rejection from uniform unordered pairs keeps the valid-pair law uniform.
-    for _ in range(200):
+    while True:
         a, b = rng.choice(len(ones), size=2, replace=False)
         (i, j), (ip, jp) = divmod(int(ones[a]), width), divmod(int(ones[b]), width)
         if i != ip and j != jp:
             return SFPattern(((i, j), (ip, jp)))
-    # Tiny or degenerate arrays: enumerate the valid pairs outright.
-    rows, cols = np.divmod(ones, width)
-    valid = [
-        (a, b)
-        for a in range(len(ones))
-        for b in range(a + 1, len(ones))
-        if rows[a] != rows[b] and cols[a] != cols[b]
-    ]
-    if not valid:
-        raise InfeasibleSFError("all 1-cell pairs share a row or column")
-    a, b = valid[rng.integers(len(valid))]
-    return SFPattern(((int(rows[a]), int(cols[a])), (int(rows[b]), int(cols[b]))))
 
 
 def _sp_cells(x: np.ndarray, pairs) -> np.ndarray:

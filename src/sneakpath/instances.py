@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SFPattern, compute_sp_indicators, place_sfs, sample_data
+from .channel import InfeasibleSFError, SFPattern, compute_sp_indicators, place_sfs, sample_data
 from .structure import COMPLETE, INCOMPLETE, NON_SP, line_classes, sp_supports
 
 KIND_NO_SF = "no_sf"
@@ -179,7 +179,7 @@ def make_case_instance(kind: str, n: int, q: float, rng: np.random.Generator) ->
         else:
             try:
                 sf = place_sfs(x, 1 if kind == KIND_SINGLE else 2, rng)
-            except ValueError:
+            except InfeasibleSFError:
                 continue
             if len(sf) == 2:
                 # Canonical order: lower row index first.

@@ -73,7 +73,7 @@ def _support_cells(x: np.ndarray, pairs) -> np.ndarray:
     Failures never share a line, so no failure's lines pass through another
     failure's cell, and clearing each failed cell as it is met is exact.
     """
-    b = x.astype(bool)
+    b = np.asarray(x, dtype=bool)
     cells = np.zeros_like(b)
     for (i, j) in pairs:
         cells[..., i, :] |= b[..., i, :]
@@ -171,8 +171,9 @@ def verify_intersection_correspondence(
 _SINGLE = ((0, 0),)
 _DOUBLE = ((0, 0), (1, 1))
 _M = 2  # designated non-failure row
-# Arrays drawn per batch.
-_EVENT_CHUNK = 20000
+# Cells drawn per batch (whole arrays, at least one).  The Generator fills
+# doubles in order, so the batch size leaves the counts as they are.
+_EVENT_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -182,8 +183,8 @@ class EventForm:
     ``probability(q, n)`` is the closed form, exact or (``exact`` False) a
     lower bound that is tested one-sidedly.  ``failures`` fixes the failed
     cells, and ``masks(bits, row_types, col_types)`` maps a batch of
-    (B, N, N) bits and (B, N) line classes to the condition and success
-    masks of the event, one entry per array.
+    (B, N, N) boolean bits and (B, N) line classes to the condition and
+    success masks of the event, one entry per array.
     """
 
     probability: Callable[[float, int], float]
@@ -196,27 +197,27 @@ EVENT_FORMS: dict[str, EventForm] = {
     # single failure: a supported non-failure line is complete
     "single_sf_supported_line_complete": EventForm(
         lambda q, n: 1.0 - (1.0 - (1.0 - q) * q) ** (n - 1), True, _SINGLE,
-        lambda b, rt, ct: (b[:, _M, 0] == 1, rt[:, _M] == COMPLETE)),
+        lambda b, rt, ct: (b[:, _M, 0], rt[:, _M] == COMPLETE)),
     # double failure: a doubly-supported non-failure line is complete
     "double_sf_double_supported_complete": EventForm(
         lambda q, n: 1.0 - (q + (1.0 - q) ** 3) ** (n - 2), True, _DOUBLE,
-        lambda b, rt, ct: ((b[:, _M, 0] == 1) & (b[:, _M, 1] == 1), rt[:, _M] == COMPLETE)),
+        lambda b, rt, ct: (b[:, _M, 0] & b[:, _M, 1], rt[:, _M] == COMPLETE)),
     # double failure: a complete non-failure line is doubly supported (bound)
     "double_sf_complete_double_supported": EventForm(
         lambda q, n: 1.0 - 2.0 * (1.0 - q * (1.0 - q) ** 2) ** (n - 2) / q**2, False, _DOUBLE,
-        lambda b, rt, ct: (rt[:, _M] == COMPLETE, (b[:, _M, 0] == 1) & (b[:, _M, 1] == 1))),
+        lambda b, rt, ct: (rt[:, _M] == COMPLETE, b[:, _M, 0] & b[:, _M, 1])),
     # double failure: a singly-supported non-failure line is incomplete (bound)
     "double_sf_single_supported_incomplete": EventForm(
         lambda q, n: 1.0 - 2.0 * (1.0 - q * (1.0 - q) ** 2) ** (n - 2), False, _DOUBLE,
-        lambda b, rt, ct: ((b[:, _M, 0].astype(int) + b[:, _M, 1]) == 1, rt[:, _M] == INCOMPLETE)),
+        lambda b, rt, ct: (b[:, _M, 0] ^ b[:, _M, 1], rt[:, _M] == INCOMPLETE)),
     # double failure: crossing bit 1 makes the failure line complete
     "double_sf_cross_one_line_complete": EventForm(
         lambda q, n: 1.0 - (q + (1.0 - q) ** 2) ** (n - 2), True, _DOUBLE,
-        lambda b, rt, ct: (b[:, 0, 1] == 1, rt[:, 0] == COMPLETE)),
+        lambda b, rt, ct: (b[:, 0, 1], rt[:, 0] == COMPLETE)),
     # double failure: both failure lines class 0 makes the crossing bit 0 (bound)
     "double_sf_lines_nonsp_cross_zero": EventForm(
         lambda q, n: 1.0 - q * (q + (1.0 - q) ** 2) ** (2 * n - 4) / (1.0 - q), False, _DOUBLE,
-        lambda b, rt, ct: ((rt[:, 0] == NON_SP) & (ct[:, 1] == NON_SP), b[:, 0, 1] == 0)),
+        lambda b, rt, ct: ((rt[:, 0] == NON_SP) & (ct[:, 1] == NON_SP), ~b[:, 0, 1])),
 }
 
 
@@ -292,15 +293,14 @@ def estimate_event_frequency(event: str, n: int, q: float, trials: int, seed: in
     successes = 0
     done = 0
     while done < trials:
-        b = min(_EVENT_CHUNK, trials - done)
-        bits = (rng.random((b, n, n)) < q).astype(np.uint8)
+        b = min(max(1, _EVENT_CELLS // (n * n)), trials - done)
+        ones = rng.random((b, n, n)) < q
         for (i, j) in form.failures:
-            bits[:, i, j] = 1
-        ones = bits.astype(bool)
+            ones[:, i, j] = True
         e = _sp_cells(ones, form.failures)
         sup = _support_cells(ones, form.failures)
         types = line_classes(ones, e, sup.any(axis=-1), sup.any(axis=-2))
-        cond, succ = form.masks(bits, types.row_types, types.col_types)
+        cond, succ = form.masks(ones, types.row_types, types.col_types)
         samples += int(cond.sum())
         successes += int((cond & succ).sum())
         done += b

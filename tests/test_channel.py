@@ -113,6 +113,34 @@ class TestSampleSFPattern:
         with pytest.raises(InfeasibleSFError):
             place_sfs(x, 2, rng_of(0))
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_infeasible_double_draws_nothing(self, axis):
+        # Every 1-cell in one line: any two share a row or a column.
+        x = np.zeros((8, 8), dtype=np.uint8)
+        if axis == 0:
+            x[3, :] = 1
+        else:
+            x[:, 3] = 1
+        rng = rng_of(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InfeasibleSFError):
+            place_sfs(x, 2, rng)
+        assert rng.bit_generator.state == state
+
+    def test_double_uniform_over_valid_pairs(self):
+        # Row 0 full plus (1, 0): the valid pairs are (1, 0) with (0, j), j > 0.
+        x = np.zeros((8, 8), dtype=np.uint8)
+        x[0, :] = 1
+        x[1, 0] = 1
+        rng = rng_of(21)
+        counts = dict.fromkeys(range(1, 8), 0)
+        for _ in range(1400):
+            (i, j), (ip, jp) = sorted(place_sfs(x, 2, rng).pairs)
+            assert (i, ip, jp) == (0, 1, 0) and j > 0
+            counts[j] += 1
+        # 200 expected per pair, standard deviation about 13.
+        assert all(140 < c < 260 for c in counts.values()), counts
+
     def test_unnormalized_distribution_rejected(self):
         with pytest.raises(ValueError):
             sample_sf_count((0.5, 0.4, 0.2), rng_of(0))

@@ -284,7 +284,10 @@ class TestFailureCountStepDown:
 
 
 class TestSymmetries:
-    """Transposing or permuting the lines of a readout maps the decisions alike."""
+    """Transposing or permuting the lines of a readout maps the decisions alike.
+
+    The properties draw q off 1/2 too, where the level LLRs carry a prior shift.
+    """
 
     def test_transposed_readout_same_single_failure(self):
         # With the partial lines settled in one fixed order (rows first),
@@ -301,10 +304,10 @@ class TestSymmetries:
         assert np.array_equal(res_t.x_hat, res.x_hat.T)
 
     @given(st.integers(8, 48), st.sampled_from([30.0, 100.0, 200.0, 350.0]),
-           st.integers(0, 2**32 - 1))
+           st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 2**32 - 1))
     @settings(deadline=None, derandomize=True)
-    def test_transpose_equivariant(self, n, sigma, seed):
-        params = ChannelParams(sigma=sigma)
+    def test_transpose_equivariant(self, n, sigma, q, seed):
+        params = ChannelParams(sigma=sigma, q=q)
         _, _, _, y = sample_instance(n, params, (0.5, 0.4, 0.1), rng_of(seed))
         res, res_t = detect_array(y, params), detect_array(y.T, params)
         assert res_t.hypothesis.kind == res.hypothesis.kind
@@ -313,10 +316,10 @@ class TestSymmetries:
         assert np.array_equal(res_t.x_hat, res.x_hat.T)
 
     @given(st.integers(8, 48), st.sampled_from([30.0, 100.0, 200.0, 350.0]),
-           st.integers(0, 2**32 - 1))
+           st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 2**32 - 1))
     @settings(deadline=None, derandomize=True)
-    def test_permutation_equivariant(self, n, sigma, seed):
-        params = ChannelParams(sigma=sigma)
+    def test_permutation_equivariant(self, n, sigma, q, seed):
+        params = ChannelParams(sigma=sigma, q=q)
         rng = rng_of(seed)
         _, _, _, y = sample_instance(n, params, (0.5, 0.4, 0.1), rng)
         rows, cols = rng.permutation(n), rng.permutation(n)

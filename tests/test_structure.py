@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sneakpath import ChannelParams, SFPattern, compute_sp_indicators, sample_data
 from sneakpath.channel import InfeasibleSFError, place_sfs
+from sneakpath import structure
 from sneakpath.instances import make_case_library
 from sneakpath.structure import (
     COMPLETE,
@@ -247,3 +250,21 @@ class TestEventFrequencies:
         a = estimate_event_frequency("single_sf_supported_line_complete", 12, 0.5, 5000, seed=3)
         b = estimate_event_frequency("single_sf_supported_line_complete", 12, 0.5, 5000, seed=3)
         assert (a.samples, a.successes) == (b.samples, b.successes)
+
+    def test_counts_independent_of_batch_size(self, monkeypatch):
+        # Batches of 3 arrays, the last one of 2: the same doubles in order.
+        n, trials = 8, 200
+        default = [estimate_event_frequency(e, n, 0.5, trials, seed=4) for e in sorted(EVENT_FORMS)]
+        monkeypatch.setattr(structure, "_EVENT_CELLS", 3 * n * n + 5)
+        small = [estimate_event_frequency(e, n, 0.5, trials, seed=4) for e in sorted(EVENT_FORMS)]
+        assert [(a.samples, a.successes) for a in small] == [
+            (a.samples, a.successes) for a in default]
+
+    def test_batch_memory_bounded(self):
+        tracemalloc.start()
+        try:
+            estimate_event_frequency("double_sf_single_supported_incomplete", 128, 0.5, 600, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak
