@@ -16,6 +16,8 @@ Submodules:
 * :mod:`sneakpath.cli` -- ``sneakpath`` command-line entry point.
 """
 
+import numpy as _np
+
 from .baseline import detect_baseline, optimal_threshold
 from .bounds import SFCountDistribution, asymptotic_bound, ber_lower_bound, q_function, thresholds
 from .channel import (
@@ -39,6 +41,12 @@ from .detector import (
 )
 from .harness import ExperimentConfig, ExperimentRecord, run_experiment, sf_diagnostics, write_results
 from .structure import classify_line_types, event_probability, sp_supports
+
+# Free one untouched block just under 32 MiB, the most for which glibc's rule
+# in mallopt(3) raises the mmap threshold to its size and the trim threshold to
+# twice that: N^2 temporaries up to N = 2047 then stay on the heap and are not
+# faulted in again per array.  A threshold the user set turns the rule off.
+_np.empty((1 << 22) - 1024)
 
 __all__ = [
     "ChannelParams",

@@ -54,12 +54,6 @@ CASE_MIXED = "mixed"
 CASE_ALL_COMPLETE = "all_complete"
 CASE_FALLBACK = "fallback"
 
-# Cells per row tile of the LLR pass (32 rows at N = 256).  Arrays of up to
-# _ONE_PASS_CELLS cells (N <= 221) take one pass: on a Xeon with 2 MiB of L2
-# per core, tiling measured slower up to N = 208 and faster from N = 224.
-_TILE_CELLS = 8192
-_ONE_PASS_CELLS = 6 * _TILE_CELLS
-
 
 @dataclass(frozen=True)
 class SPTypeEstimate:
@@ -106,13 +100,19 @@ _SOFTPLUS_CLIP = 50.0
 _LOG_HALF = math.log(0.5)
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    """log(1 + e^x) = max(x, 0) + log1p(e^-|x|), finite for every finite x."""
+def _softplus_tail(x: np.ndarray) -> np.ndarray:
+    """log1p(e^-|x|), the part of sp(x) and sp(-x) that is even in x."""
     out = np.abs(x)
     np.minimum(out, _SOFTPLUS_CLIP, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
+    return out
+
+
+def _softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + e^x) = max(x, 0) + log1p(e^-|x|), finite for every finite x."""
+    out = _softplus_tail(x)
     out += np.maximum(x, 0.0)
     return out
 
@@ -144,14 +144,21 @@ def _cell_terms(y: np.ndarray, params: ChannelParams):
     weighed (1/2, 1/2)).  With sp the softplus, c = log((1-q)/q) and u0, u'
     the level LLRs of r0 and r0' plus c, the capable term is
     s = sp(u') - sp(u0), the presence term log(1-q) + sp(s - c) and the
-    completeness term log 2 - sp(-s).
+    completeness term log 2 - sp(-s).  At q = 1/2 (c = 0) sp(s) and sp(-s)
+    share the tail log1p(e^-|s|), which is computed once.
     """
     c = math.log((1.0 - params.q) / params.q)
     sneak = _softplus(_level_llr(y, params.r0_prime, params, c))
     sneak -= _softplus(_level_llr(y, params.r0, params, c))
-    presence = _softplus(sneak - c)
+    if c:
+        presence = _softplus(sneak - c)
+        completeness = _softplus(-sneak)
+    else:
+        tail = _softplus_tail(sneak)
+        completeness = tail - np.minimum(sneak, 0.0)
+        presence = np.add(tail, np.maximum(sneak, 0.0), out=tail)
     presence += math.log1p(-params.q)
-    completeness = math.log(2.0) - _softplus(-sneak)
+    completeness = np.subtract(math.log(2.0), completeness, out=completeness)
     return presence, completeness, sneak
 
 
@@ -166,26 +173,11 @@ def _line_types(presence: np.ndarray, completeness: np.ndarray) -> np.ndarray:
 
 
 def estimate_sp_types(y: np.ndarray, params: ChannelParams) -> SPTypeEstimate:
-    """Run both LLR passes over a whole readout matrix.
+    """Run both LLR passes over a whole readout matrix in one vectorized pass.
 
-    Arrays above ``_ONE_PASS_CELLS`` get their per-cell terms in row tiles
-    of about ``_TILE_CELLS`` cells, so each tile's temporaries stay in cache;
-    the values are the same either way.
+    Presence sums per line, completeness over crossing lines flagged present.
     """
-    y = np.asarray(y, dtype=float)
-    if y.size <= _ONE_PASS_CELLS:
-        t1, t2, sneak_llr = _cell_terms(y, params)
-    else:
-        # One block for the three terms.  detect_array keeps no estimate past
-        # its call, and on glibc three separate arrays of this size are
-        # trimmed off the heap when it ends and faulted in again on the next
-        # call (about 250 page faults at N = 256); a block this large raises
-        # glibc's trim threshold above it the first time it is freed.
-        t1, t2, sneak_llr = np.empty((3,) + y.shape)
-        step = max(1, _TILE_CELLS // y.shape[1])
-        for start in range(0, y.shape[0], step):
-            rows = slice(start, start + step)
-            t1[rows], t2[rows], sneak_llr[rows] = _cell_terms(y[rows], params)
+    t1, t2, sneak_llr = _cell_terms(np.asarray(y, dtype=float), params)
     l1_rows = t1.sum(axis=1)
     l1_cols = t1.sum(axis=0)
     flags_rows = (l1_rows >= 0.0).astype(float)

@@ -4,8 +4,7 @@ The digest covers every decision a caller sees: the bit estimate, the
 declared failure count, the sorted failure locations, and the pairing
 case and tie of a declared double failure.  It changes only
 when a detector decision changes, so a speed change to the LLR arithmetic
-must leave it as it is.  A second digest pins N = 256, where
-``estimate_sp_types`` computes its per-cell terms in row tiles.
+must leave it as it is.  A second digest pins larger arrays, N = 256.
 """
 
 import hashlib
@@ -14,13 +13,12 @@ import numpy as np
 
 from sneakpath import ChannelParams, detect_array, sample_instance, sample_readout
 from sneakpath.bounds import REFERENCE_SF_DIST, SFCountDistribution
-from sneakpath.detector import _ONE_PASS_CELLS
 from sneakpath.instances import make_case_library
 
 PRIORS = (REFERENCE_SF_DIST, SFCountDistribution(0.2, 0.3, 0.5))
 ARRAYS_PER_SETTING = 8
 PINNED_DECISIONS_SHA256 = "db418367575069c22780753c6999ffb6fb50028dbefe68ac062c9187b2942023"
-# N = 256 readouts: estimate_sp_types takes its row-tiled path there.
+# N = 256 readouts, where the per-cell temporaries are 512 KiB each.
 TILED_N = 256
 PINNED_TILED_DECISIONS_SHA256 = "6e0c36b2238ffe50237192b1dd196ec109fec6be5d08446cc4ece61727fd4f36"
 
@@ -66,5 +64,4 @@ def test_decisions_pinned():
 
 
 def test_tiled_decisions_pinned():
-    assert TILED_N * TILED_N > _ONE_PASS_CELLS
     assert tiled_decisions_digest() == PINNED_TILED_DECISIONS_SHA256

@@ -42,6 +42,7 @@ from sneakpath.detector import (
     _line_types,
     _log_kernel,
     _messages_to_row_pair,
+    _softplus,
     double_sf_candidates,
     locate_single_sf,
     refine_uncertain_pairs,
@@ -130,17 +131,19 @@ class TestTypeLLRs:
         assert est.col_types.tolist() == reference_types(ref_cols, ref_comp_cols)
         assert np.array_equal(est.sneak_llr, sneak)
 
-    @pytest.mark.parametrize("shape", [(256, 256), (250, 250), (400, 130)])
-    def test_row_tiles_match_one_pass(self, shape):
-        params = ChannelParams(sigma=100.0)
-        y = rng_of(2).normal(500.0, 350.0, shape)
-        t1, t2, sneak = _cell_terms(y, params)
-        est = estimate_sp_types(y, params)
-        assert np.array_equal(est.sneak_llr, sneak)
-        flags_rows = (t1.sum(axis=1) >= 0.0).astype(float)
-        flags_cols = (t1.sum(axis=0) >= 0.0).astype(float)
-        assert np.array_equal(est.row_types, _line_types(t1.sum(axis=1), t2 @ flags_cols))
-        assert np.array_equal(est.col_types, _line_types(t1.sum(axis=0), flags_rows @ t2))
+    @pytest.mark.parametrize("q", [0.5, 0.3])
+    def test_cell_terms_equal_two_softplus_terms(self, q):
+        # At q = 1/2 the presence and completeness terms share one softplus
+        # tail; either way they equal the two-softplus formulas bit for bit.
+        params = ChannelParams(sigma=30.0, q=q)
+        y = np.concatenate([rng_of(4).normal(500.0, 350.0, 4000),
+                            np.linspace(-3000.0, 4000.0, 7001),
+                            [params.r1, params.r0, params.r0_prime]])
+        presence, completeness, sneak = _cell_terms(y, params)
+        c = math.log((1.0 - q) / q)
+        assert np.abs(sneak).max() > 50.0  # the softplus clip is reached
+        assert np.array_equal(presence, _softplus(sneak - c) + math.log1p(-q))
+        assert np.array_equal(completeness, math.log(2.0) - _softplus(-sneak))
 
     def test_presence_invariant_under_permutation(self, ref_params):
         rng = rng_of(1)

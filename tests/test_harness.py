@@ -2,7 +2,11 @@ import concurrent.futures
 import csv
 import hashlib
 import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +201,26 @@ class TestRunExperiment:
         params = ChannelParams(sigma=80.0)
         assert rec.bound_finite == pytest.approx(ber_lower_bound(16, PA, params), rel=1e-12)
         assert rec.bound_asymptotic == pytest.approx(asymptotic_bound(PA, params), rel=1e-12)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
+    @pytest.mark.parametrize("n, detectors, max_faults", [
+        (256, "proposed", 10.0), (128, "proposed,baseline", 2.0)])
+    def test_sweep_arrays_stay_on_the_heap(self, n, detectors, max_faults):
+        # Each array's N^2 temporaries reuse heap pages freed by the array
+        # before, instead of being mapped or trimmed and faulted in again.
+        # A fresh interpreter, so that no earlier test has moved glibc's
+        # thresholds.
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = ("import resource, sys; sys.path.insert(0, sys.argv[1]); "
+                 "from sneakpath import ExperimentConfig, run_experiment; "
+                 "cfg = ExperimentConfig(n=int(sys.argv[2]), sigma_list=(60.0,), trials=20, "
+                 "detectors=tuple(sys.argv[3].split(',')), workers=1); "
+                 "run_experiment(cfg); before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+                 "run_experiment(cfg); "
+                 "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / cfg.trials)")
+        done = subprocess.run([sys.executable, "-c", probe, str(src), str(n), detectors],
+                              capture_output=True, text=True, check=True, timeout=300)
+        assert float(done.stdout) < max_faults
 
 
 # SHA-256 of the CSV written by TestPersistence.test_csv_bytes_pinned.  It
