@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams
+from .channel import ChannelParams, check_sf_prior
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| < 1, and
 # erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8, R(x) / S(x) from 8 up.
@@ -49,11 +49,7 @@ class SFCountDistribution:
     p2: float
 
     def __post_init__(self):
-        ps = (self.p0, self.p1, self.p2)
-        if any(p < 0.0 for p in ps):
-            raise ValueError(f"probabilities must be nonnegative, got {ps}")
-        if abs(sum(ps) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities must sum to 1 within 1e-12, got {ps}")
+        check_sf_prior(self.as_tuple())
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p0, self.p1, self.p2)

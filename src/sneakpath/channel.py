@@ -105,12 +105,23 @@ def sample_data(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
     return (rng.random((n, n)) < q).astype(np.uint8)
 
 
+def check_sf_prior(p) -> np.ndarray:
+    """The failure-count prior (p0, p1, p2) as an array, checked.
+
+    Raises ValueError unless ``p`` holds 3 finite nonnegative values that sum
+    to 1 within 1e-12.
+    """
+    p = np.asarray(p, dtype=float)
+    # NaN fails p >= 0, and an infinite value leaves the sum away from 1.
+    if p.shape != (3,) or not np.all(p >= 0.0) or abs(p.sum() - 1.0) > 1e-12:
+        raise ValueError("failure-count prior must be 3 finite nonnegative values summing "
+                         f"to 1 within 1e-12, got {p.tolist()}")
+    return p
+
+
 def sample_sf_count(p: tuple[float, float, float], rng: np.random.Generator) -> int:
     """Draw the number of active selector failures from (p0, p1, p2)."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (3,) or np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError(f"failure-count distribution must be 3 nonnegative values summing to 1, got {p}")
-    return int(rng.choice(3, p=p))
+    return int(rng.choice(3, p=check_sf_prior(p)))
 
 
 def place_sfs(x: np.ndarray, k: int, rng: np.random.Generator) -> SFPattern:

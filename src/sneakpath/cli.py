@@ -12,8 +12,10 @@ Subcommands::
 ``--detector`` takes a comma-separated list of ``proposed``, ``baseline``
 and ``oracle`` (the genie, told the true failure rows and columns);
 ``both`` means ``proposed,baseline``.  Config files are flat ``key=value``
-text (UTF-8, ``#`` comments) with the flag names as keys (``sf_dist`` for
-``--sf-dist``); explicit flags override file values.
+text (UTF-8, ``#`` comments) whose keys are the :data:`SETTINGS` keys, the
+flag names with ``_`` for ``-`` (``sf_dist`` for ``--sf-dist``); each key at
+most once, and explicit flags override file values.  A value that does not
+parse is reported with its flag, or its file, line and key.
 """
 
 from __future__ import annotations
@@ -25,34 +27,59 @@ from . import bounds as bounds_mod
 from . import harness, structure
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(s) for s in text.split(",") if s.strip())
+
+
+def _sf_dist(text: str) -> bounds_mod.SFCountDistribution:
+    ps = _floats(text)
+    if len(ps) != 3:
+        raise ValueError(f"needs 3 values, got {text!r}")
+    return bounds_mod.SFCountDistribution(*ps)
+
+
+def _detectors(text: str) -> tuple[str, ...]:
+    if text == "both":
+        return (harness.DETECTOR_PROPOSED, harness.DETECTOR_BASELINE)
+    return tuple(s.strip() for s in text.split(","))
+
+
+# Sweep settings: config-file key (the flag is "--" + key, "_" written "-")
+# -> ExperimentConfig field, parser of the setting's text, flag help.
+# Unset settings take the ExperimentConfig defaults, which check every value.
+SETTINGS = {
+    "n": ("n", int, "array dimension"),
+    "q": ("q", float, "probability of a stored 1"),
+    "sigma": ("sigma_list", _floats, "comma-separated noise levels"),
+    "sf_dist": ("sf_dist", _sf_dist, "p0,p1,p2 failure-count prior"),
+    "r0": ("r0", float, "high-resistance level (ohms)"),
+    "r1": ("r1", float, "low-resistance level (ohms)"),
+    "rs": ("rs", float, "sneak-path parallel resistance (ohms)"),
+    "trials": ("trials", int, "arrays per noise level"),
+    "detector": ("detectors", _detectors, "comma-separated proposed, baseline, oracle; or both"),
+    "seed": ("seed", int, "master seed (64-bit)"),
+    "out": ("out", str, "output CSV path"),
+    "workers": ("workers", int, "worker processes"),
+}
+_CHANNEL_KEYS = ("n", "q", "sigma", "sf_dist", "r0", "r1", "rs")  # simulate and bounds
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sneakpath", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Channel settings shared by simulate and bounds; unset flags are None,
-    # so ExperimentConfig supplies the reference defaults.
-    channel = argparse.ArgumentParser(add_help=False)
-    channel.add_argument("--n", type=int, help="array dimension")
-    channel.add_argument("--q", type=float, help="probability of a stored 1")
-    channel.add_argument("--sigma", type=str, help="comma-separated noise levels")
-    channel.add_argument("--sf-dist", type=str, help="p0,p1,p2 failure-count prior")
-    channel.add_argument("--r0", type=float)
-    channel.add_argument("--r1", type=float)
-    channel.add_argument("--rs", type=float)
-
-    sim = sub.add_parser("simulate", parents=[channel], help="run Monte Carlo detection sweeps")
-    sim.add_argument("--trials", type=int, help="arrays per noise level")
-    sim.add_argument("--detector", type=str,
-                     help="comma-separated proposed, baseline, oracle; or both")
-    sim.add_argument("--seed", type=int, help="master seed (64-bit)")
-    sim.add_argument("--out", type=str, help="output CSV path")
-    sim.add_argument("--config", type=str, help="key=value config file")
-    sim.add_argument("--workers", type=int, help="worker processes")
-
-    bnd = sub.add_parser("bounds", parents=[channel],
-                         help="tabulate analytic thresholds and BER bounds")
-    bnd.add_argument("--out", type=str, required=True)
+    sim = sub.add_parser("simulate", help="run Monte Carlo detection sweeps")
+    bnd = sub.add_parser("bounds", help="tabulate analytic thresholds and BER bounds")
+    for cmd, keys in ((sim, SETTINGS), (bnd, _CHANNEL_KEYS)):
+        for key in keys:
+            cmd.add_argument(_flag(key), help=SETTINGS[key][2])
+    sim.add_argument("--config", help="key=value config file")
+    bnd.add_argument("--out", required=True)
 
     ver = sub.add_parser("verify-lemmas", help="Monte Carlo checks of the structural event probabilities")
     ver.add_argument("--n", type=int, default=32)
@@ -63,14 +90,46 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _settings(args) -> dict:
-    """The parsed flags that are sweep settings, keyed as in ``harness.SETTINGS``."""
-    return {k: v for k, v in vars(args).items() if k in harness.SETTINGS}
+def _read_config(path: str) -> dict:
+    """Key -> (text, ``path:line: key``) of a flat key=value file (UTF-8, # comments)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as err:
+        raise OSError(f"cannot read config {path!r}: {err}") from err
+    texts = {}
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, text = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        if key not in SETTINGS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in texts:
+            raise ValueError(f"{path}:{lineno}: {key} is set twice")
+        texts[key] = (text, f"{path}:{lineno}: {key}")
+    return texts
+
+
+def _config(args) -> harness.ExperimentConfig:
+    """The sweep settings of parsed arguments: config-file values, flags over them."""
+    texts = _read_config(args.config) if getattr(args, "config", None) else {}
+    texts.update((key, (text, _flag(key))) for key in SETTINGS
+                 if (text := getattr(args, key, None)) is not None)
+    fields = {}
+    for key, (text, where) in texts.items():
+        field, parse, _ = SETTINGS[key]
+        try:
+            fields[field] = parse(text)
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from err
+    return harness.ExperimentConfig(**fields)
 
 
 def _cmd_simulate(args) -> int:
-    file_values = harness.load_config_file(args.config) if args.config else None
-    cfg = harness.build_config(file_values, **_settings(args))
+    cfg = _config(args)
     if cfg.out is None:
         raise ValueError("an output path is required (--out or out= in the config file)")
     records = harness.run_experiment(cfg)
@@ -83,7 +142,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    cfg = harness.build_config(**_settings(args))
+    cfg = _config(args)
     p = cfg.sf_dist
     rows = []
     for sigma in cfg.sigma_list:

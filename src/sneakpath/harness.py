@@ -36,11 +36,6 @@ CSV_FIELDS = (
 )
 
 
-def _check_detectors(labels: tuple[str, ...]) -> None:
-    if not labels or set(labels) - set(DETECTORS) or len(set(labels)) != len(labels):
-        raise ValueError(f"detectors must be distinct labels from {DETECTORS}, got {labels}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a sweep needs; defaults follow the reference experiments."""
@@ -67,7 +62,9 @@ class ExperimentConfig:
             raise ValueError("sigma list is empty")
         for sigma in self.sigma_list:
             self.params_at(sigma)  # the channel checks every setting
-        _check_detectors(self.detectors)
+        labels = self.detectors
+        if not labels or set(labels) - set(DETECTORS) or len(set(labels)) != len(labels):
+            raise ValueError(f"detectors must be distinct labels from {DETECTORS}, got {labels}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.seed < 0:
@@ -256,94 +253,3 @@ def write_results(records: list[ExperimentRecord], path: str) -> None:
          r.seed, r.elapsed_ms)
         for r in records))
 
-
-# ---------------------------------------------------------------------------
-# Configuration: flat key=value files, flag values take precedence.
-# ---------------------------------------------------------------------------
-
-def parse_sigma_list(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(s) for s in text.split(",") if s.strip())
-    except ValueError as err:
-        raise ValueError(f"malformed sigma list {text!r}: {err}") from err
-    if not values:
-        raise ValueError("sigma list is empty")
-    return values
-
-
-def parse_sf_dist(text: str) -> SFCountDistribution:
-    parts = [s for s in text.split(",") if s.strip()]
-    if len(parts) != 3:
-        raise ValueError(f"failure-count distribution needs 3 values, got {text!r}")
-    try:
-        p0, p1, p2 = (float(s) for s in parts)
-    except ValueError as err:
-        raise ValueError(f"malformed distribution {text!r}: {err}") from err
-    return SFCountDistribution(p0, p1, p2)
-
-
-def parse_detectors(text: str) -> tuple[str, ...]:
-    """Comma-separated detector labels; ``both`` means ``proposed,baseline``."""
-    if text == "both":
-        return (DETECTOR_PROPOSED, DETECTOR_BASELINE)
-    labels = tuple(s.strip() for s in text.split(","))
-    _check_detectors(labels)
-    return labels
-
-
-# Sweep settings: config-file key (also the CLI flag, "_" written "-") ->
-# ExperimentConfig field and the parser of the setting's text form.
-SETTINGS = {
-    "n": ("n", int),
-    "q": ("q", float),
-    "sigma": ("sigma_list", parse_sigma_list),
-    "sf_dist": ("sf_dist", parse_sf_dist),
-    "trials": ("trials", int),
-    "detector": ("detectors", parse_detectors),
-    "seed": ("seed", int),
-    "out": ("out", str),
-    "workers": ("workers", int),
-    "r0": ("r0", float),
-    "r1": ("r1", float),
-    "rs": ("rs", float),
-}
-
-
-def load_config_file(path: str) -> dict:
-    """Read a flat key=value config file (UTF-8, # comments)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise OSError(f"cannot read config {path!r}: {err}") from err
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in SETTINGS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = val.strip()
-    return values
-
-
-def build_config(file_values: dict | None = None, **flag_values) -> ExperimentConfig:
-    """Merge config-file values with flag overrides into an ExperimentConfig.
-
-    Keys are those of :data:`SETTINGS`.  A flag of None is unset; a string
-    is parsed by the key's parser, any other value is taken as it is.
-    """
-    merged = dict(file_values or {})
-    merged.update((k, v) for k, v in flag_values.items() if v is not None)
-    unknown = set(merged) - set(SETTINGS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    fields = {}
-    for key, val in merged.items():
-        field, parse = SETTINGS[key]
-        fields[field] = parse(val) if isinstance(val, str) else val
-    return ExperimentConfig(**fields)

@@ -126,6 +126,9 @@ class TestSFCountDistribution:
             SFCountDistribution(0.5, 0.4, 0.2)
         with pytest.raises(ValueError):
             SFCountDistribution(-0.1, 0.6, 0.5)
+        # NaN is neither below 0 nor, summed, away from 1.
+        with pytest.raises(ValueError, match="finite"):
+            SFCountDistribution(float("nan"), 0.5, 0.5)
 
     def test_sp_potential_probability(self):
         assert PA.sp_potential_probability(0.5) == pytest.approx(0.14375, abs=1e-15)

@@ -145,6 +145,11 @@ class TestSampleSFPattern:
         with pytest.raises(ValueError):
             sample_sf_count((0.5, 0.4, 0.2), rng_of(0))
 
+    @pytest.mark.parametrize("p", [(float("nan"), 0.5, 0.5), (0.5, 0.5), (0.5, 0.3, 0.1, 0.1)])
+    def test_malformed_prior_rejected(self, p):
+        with pytest.raises(ValueError, match="failure-count prior"):
+            sample_sf_count(p, rng_of(0))
+
     def test_double_respects_constraints(self):
         rng = rng_of(3)
         x = sample_data(8, 0.5, rng)

@@ -19,8 +19,8 @@ PRIORS = (REFERENCE_SF_DIST, SFCountDistribution(0.2, 0.3, 0.5))
 ARRAYS_PER_SETTING = 8
 PINNED_DECISIONS_SHA256 = "db418367575069c22780753c6999ffb6fb50028dbefe68ac062c9187b2942023"
 # N = 256 readouts, where the per-cell temporaries are 512 KiB each.
-TILED_N = 256
-PINNED_TILED_DECISIONS_SHA256 = "6e0c36b2238ffe50237192b1dd196ec109fec6be5d08446cc4ece61727fd4f36"
+LARGE_N = 256
+PINNED_N256_DECISIONS_SHA256 = "6e0c36b2238ffe50237192b1dd196ec109fec6be5d08446cc4ece61727fd4f36"
 
 
 def _update(digest, res) -> None:
@@ -47,14 +47,14 @@ def decisions_digest() -> str:
     return digest.hexdigest()
 
 
-def tiled_decisions_digest() -> str:
+def n256_decisions_digest() -> str:
     digest = hashlib.sha256()
     for sigma in (30.0, 100.0, 350.0):
         params = ChannelParams(sigma=sigma)
         for k, prior in enumerate(PRIORS):
-            rng = np.random.default_rng([TILED_N, int(sigma), k])
+            rng = np.random.default_rng([LARGE_N, int(sigma), k])
             for _ in range(4):
-                _, _, _, y = sample_instance(TILED_N, params, prior.as_tuple(), rng)
+                _, _, _, y = sample_instance(LARGE_N, params, prior.as_tuple(), rng)
                 _update(digest, detect_array(y, params, prior))
     return digest.hexdigest()
 
@@ -63,5 +63,5 @@ def test_decisions_pinned():
     assert decisions_digest() == PINNED_DECISIONS_SHA256
 
 
-def test_tiled_decisions_pinned():
-    assert tiled_decisions_digest() == PINNED_TILED_DECISIONS_SHA256
+def test_n256_decisions_pinned():
+    assert n256_decisions_digest() == PINNED_N256_DECISIONS_SHA256

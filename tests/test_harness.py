@@ -5,13 +5,13 @@ import os
 import platform
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sneakpath import ChannelParams, SFCountDistribution, SFPattern, harness
+from sneakpath import ChannelParams, SFCountDistribution, SFPattern, cli, harness
 from sneakpath.baseline import optimal_threshold
 from sneakpath.cli import main as cli_main
 from sneakpath.harness import (
@@ -19,11 +19,6 @@ from sneakpath.harness import (
     DETECTOR_ORACLE,
     ExperimentConfig,
     _run_chunk,
-    build_config,
-    load_config_file,
-    parse_detectors,
-    parse_sf_dist,
-    parse_sigma_list,
     run_experiment,
     sf_diagnostics,
     write_results,
@@ -41,6 +36,21 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def config_of(*argv):
+    """The ExperimentConfig that ``sneakpath simulate <argv>`` would run."""
+    return cli._config(cli._build_parser().parse_args(["simulate", *argv]))
+
+
+# Two texts per setting key, each different from the default and each other.
+SETTING_TEXTS = {
+    "n": ("16", "32"), "q": ("0.4", "0.3"), "sigma": ("30,60", "90"),
+    "sf_dist": ("0.2,0.3,0.5", "1,0,0"), "trials": ("7", "8"),
+    "detector": ("oracle, baseline", "proposed"), "seed": ("9", "10"),
+    "out": ("a.csv", "b.csv"), "workers": ("2", "3"), "r0": ("900", "2000"),
+    "r1": ("90", "50"), "rs": ("300", "400"),
+}
+
+
 class TestConfig:
     def test_defaults_are_reference_parameters(self):
         cfg = ExperimentConfig()
@@ -48,13 +58,29 @@ class TestConfig:
         assert cfg.sf_dist == PA
         assert cfg.sigma_list[0] == 30.0 and cfg.sigma_list[-1] == 420.0
 
-    def test_build_config_defaults(self):
-        assert build_config() == ExperimentConfig()
+    def test_no_settings_give_defaults(self):
+        assert config_of() == ExperimentConfig()
+
+    def test_settings_table_covers_every_field(self):
+        assert {field for field, _, _ in cli.SETTINGS.values()} == {
+            f.name for f in fields(ExperimentConfig)}
+        assert set(SETTING_TEXTS) == set(cli.SETTINGS)
+
+    @pytest.mark.parametrize("key", sorted(SETTING_TEXTS))
+    def test_flag_and_file_line_agree(self, tmp_path, key):
+        flag = "--" + key.replace("_", "-")
+        first, second = SETTING_TEXTS[key]
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key}={first}\n")
+        from_flag = config_of(flag, first)
+        assert from_flag == config_of("--config", str(path)) != ExperimentConfig()
+        overridden = config_of("--config", str(path), flag, second)
+        assert overridden == config_of(flag, second) != from_flag
 
     def test_flag_overrides_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment line\ntrials=50\nsigma=30,60 # inline comment\nq=0.4\n")
-        cfg = build_config(load_config_file(str(path)), trials=75, seed=9)
+        cfg = config_of("--config", str(path), "--trials", "75", "--seed", "9")
         assert cfg.trials == 75
         assert cfg.q == 0.4
         assert cfg.sigma_list == (30.0, 60.0)
@@ -62,31 +88,26 @@ class TestConfig:
 
     def test_unnormalized_distribution_rejected(self):
         with pytest.raises(ValueError):
-            build_config(None, sf_dist="0.5,0.4,0.2")
+            config_of("--sf-dist", "0.5,0.4,0.2")
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         for line in ("bogus=1", "oracle_sf=1"):
             path.write_text(line + "\n")
             with pytest.raises(ValueError, match="unknown key"):
-                load_config_file(str(path))
+                config_of("--config", str(path))
 
     def test_detector_list(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("detector=oracle, baseline\n")
-        cfg = build_config(load_config_file(str(path)))
-        assert cfg.detectors == ("oracle", "baseline")
-        assert build_config(detector="both").detectors == ("proposed", "baseline")
+        assert config_of("--config", str(path)).detectors == ("oracle", "baseline")
+        assert config_of("--detector", "both").detectors == ("proposed", "baseline")
 
     def test_malformed_values_rejected(self):
-        with pytest.raises(ValueError):
-            parse_sigma_list("30,abc")
-        with pytest.raises(ValueError):
-            parse_sf_dist("0.5,0.5")
-        with pytest.raises(ValueError):
-            parse_detectors("magic")
-        with pytest.raises(ValueError):
-            parse_detectors("proposed,proposed")
+        for flag, text in (("--sigma", "30,abc"), ("--sf-dist", "0.5,0.5"),
+                           ("--detector", "magic"), ("--detector", "proposed,proposed")):
+            with pytest.raises(ValueError):
+                config_of(flag, text)
 
     def test_invalid_config_rejected_before_running(self):
         with pytest.raises(ValueError):
@@ -295,6 +316,24 @@ class TestCLI:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_flag_parse_error_names_the_flag(self, tmp_path, capsys):
+        assert cli_main(["simulate", "--n", "abc", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "error: --n: invalid literal for int()" in capsys.readouterr().err
+
+    def test_file_parse_error_names_file_line_and_key(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"trials=4\nn=abc\nout={tmp_path / 'x.csv'}\n")
+        assert cli_main(["simulate", "--config", str(cfgfile)]) == 2
+        assert f"error: {cfgfile}:2: n: invalid literal for int()" in capsys.readouterr().err
+
+    def test_file_key_set_twice_rejected(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        out = tmp_path / "sim.csv"
+        cfgfile.write_text(f"n=16\nsigma=90\ntrials=2\nn=32\nout={out}\n")
+        assert cli_main(["simulate", "--config", str(cfgfile)]) == 2
+        assert f"error: {cfgfile}:4: n is set twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simulate_rejects_nan_sigma(self, tmp_path, capsys):
         code = cli_main(["simulate", "--detector", "baseline", "--sigma", "nan",
                          "--out", str(tmp_path / "x.csv")])
@@ -307,6 +346,13 @@ class TestCLI:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("sigma,N,q,p0,p1,p2,gamma,gamma_prime,bound_finite")
         assert len(lines) == 3
+
+    def test_bounds_rejects_nan_prior(self, tmp_path, capsys):
+        out = tmp_path / "bounds.csv"
+        code = cli_main(["bounds", "--sf-dist", "nan,0.5,0.5", "--sigma", "150", "--out", str(out)])
+        assert code == 2
+        assert "error: --sf-dist: failure-count prior must be 3 finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("rs", ["200", "50"])
     def test_bounds_rejects_sneak_level_not_above_r1(self, tmp_path, capsys, rs):
