@@ -15,7 +15,10 @@ and ``oracle`` (the genie, told the true failure rows and columns);
 text (UTF-8, ``#`` comments) whose keys are the :data:`SETTINGS` keys, the
 flag names with ``_`` for ``-`` (``sf_dist`` for ``--sf-dist``); each key at
 most once, and explicit flags override file values.  A value that does not
-parse is reported with its flag, or its file, line and key.
+parse, or is out of range on its own (it raises the same error with every
+other setting at its default), is reported with its flag, or its file, line
+and key.  A joint error, such as r0' <= r1 from ``--r0`` and ``--rs``
+together, names no setting.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ SETTINGS = {
     "workers": ("workers", int, "worker processes"),
 }
 _CHANNEL_KEYS = ("n", "q", "sigma", "sf_dist", "r0", "r1", "rs")  # simulate and bounds
+_LEMMA_DEFAULTS = {"n": "32", "q": "0.5", "trials": "100000", "seed": "2024"}  # verify-lemmas
 
 
 def _flag(key: str) -> str:
@@ -82,11 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--out", required=True)
 
     ver = sub.add_parser("verify-lemmas", help="Monte Carlo checks of the structural event probabilities")
-    ver.add_argument("--n", type=int, default=32)
-    ver.add_argument("--q", type=float, default=0.5)
-    ver.add_argument("--trials", type=int, default=100000)
-    ver.add_argument("--seed", type=int, default=2024)
-    ver.add_argument("--out", type=str, required=True)
+    for key, default in _LEMMA_DEFAULTS.items():
+        ver.add_argument(_flag(key), default=default)
+    ver.add_argument("--out", required=True)
     return parser
 
 
@@ -118,14 +120,27 @@ def _config(args) -> harness.ExperimentConfig:
     texts = _read_config(args.config) if getattr(args, "config", None) else {}
     texts.update((key, (text, _flag(key))) for key in SETTINGS
                  if (text := getattr(args, key, None)) is not None)
-    fields = {}
-    for key, (text, where) in texts.items():
-        field, parse, _ = SETTINGS[key]
-        try:
-            fields[field] = parse(text)
-        except ValueError as err:
-            raise ValueError(f"{where}: {err}") from err
-    return harness.ExperimentConfig(**fields)
+    fields = {SETTINGS[key][0]: _parse(key, text, where) for key, (text, where) in texts.items()}
+    try:
+        return harness.ExperimentConfig(**fields)
+    except ValueError as err:
+        # A setting is at fault alone if it raises this error with the rest at their defaults.
+        for key, (_, where) in texts.items():
+            field = SETTINGS[key][0]
+            try:
+                harness.ExperimentConfig(**{field: fields[field]})
+            except ValueError as alone:
+                if str(alone) == str(err):
+                    raise ValueError(f"{where}: {err}") from err
+        raise
+
+
+def _parse(key: str, text: str, where: str):
+    """The value of setting ``key`` from its text; errors start with ``where``."""
+    try:
+        return SETTINGS[key][1](text)
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from err
 
 
 def _cmd_simulate(args) -> int:
@@ -159,7 +174,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
-    estimates = structure.verify_event_frequencies(args.n, args.q, args.trials, args.seed)
+    estimates = structure.verify_event_frequencies(
+        *(_parse(key, getattr(args, key), _flag(key)) for key in _LEMMA_DEFAULTS))
     rows = []
     worst = 0.0
     for est in estimates:

@@ -24,10 +24,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .channel import SFPattern, _sp_cells
+from .channel import SFPattern
 
 NON_SP = 0.0
 INCOMPLETE = 0.5
@@ -108,10 +109,13 @@ def line_classes(
     plain_hrs = ~np.logical_or(x, e)
     partial_rows = (plain_hrs & cross_cols[..., None, :]).any(axis=-1)
     partial_cols = (plain_hrs & cross_rows[..., :, None]).any(axis=-2)
-    return LineTypes(
-        row_types=np.where(e.any(axis=-1), np.where(partial_rows, INCOMPLETE, COMPLETE), NON_SP),
-        col_types=np.where(e.any(axis=-2), np.where(partial_cols, INCOMPLETE, COMPLETE), NON_SP),
-    )
+    return LineTypes(row_types=_line_class(e.any(axis=-1), partial_rows),
+                     col_types=_line_class(e.any(axis=-2), partial_cols))
+
+
+def _line_class(has_sp: np.ndarray, is_partial: np.ndarray) -> np.ndarray:
+    """Class of lines that hold sneak-path cells or not, partial or not."""
+    return np.where(has_sp, np.where(is_partial, INCOMPLETE, COMPLETE), NON_SP)
 
 
 def classify_line_types(x: np.ndarray, e: np.ndarray, sf: SFPattern) -> LineTypes:
@@ -182,9 +186,10 @@ class EventForm:
 
     ``probability(q, n)`` is the closed form, exact or (``exact`` False) a
     lower bound that is tested one-sidedly.  ``failures`` fixes the failed
-    cells, and ``masks(bits, row_types, col_types)`` maps a batch of
-    (B, N, N) boolean bits and (B, N) line classes to the condition and
-    success masks of the event, one entry per array.
+    cells, and ``masks(bits, row, col)`` maps a batch of (B, N, N) boolean
+    bits to the condition and success masks of the event, one entry per
+    array; ``row(m)`` and ``col(n)`` give the (B,) classes of row m and
+    column n, computed only for the lines the event reads.
     """
 
     probability: Callable[[float, int], float]
@@ -197,28 +202,48 @@ EVENT_FORMS: dict[str, EventForm] = {
     # single failure: a supported non-failure line is complete
     "single_sf_supported_line_complete": EventForm(
         lambda q, n: 1.0 - (1.0 - (1.0 - q) * q) ** (n - 1), True, _SINGLE,
-        lambda b, rt, ct: (b[:, _M, 0], rt[:, _M] == COMPLETE)),
+        lambda b, row, col: (b[:, _M, 0], row(_M) == COMPLETE)),
     # double failure: a doubly-supported non-failure line is complete
     "double_sf_double_supported_complete": EventForm(
         lambda q, n: 1.0 - (q + (1.0 - q) ** 3) ** (n - 2), True, _DOUBLE,
-        lambda b, rt, ct: (b[:, _M, 0] & b[:, _M, 1], rt[:, _M] == COMPLETE)),
+        lambda b, row, col: (b[:, _M, 0] & b[:, _M, 1], row(_M) == COMPLETE)),
     # double failure: a complete non-failure line is doubly supported (bound)
     "double_sf_complete_double_supported": EventForm(
         lambda q, n: 1.0 - 2.0 * (1.0 - q * (1.0 - q) ** 2) ** (n - 2) / q**2, False, _DOUBLE,
-        lambda b, rt, ct: (rt[:, _M] == COMPLETE, b[:, _M, 0] & b[:, _M, 1])),
+        lambda b, row, col: (row(_M) == COMPLETE, b[:, _M, 0] & b[:, _M, 1])),
     # double failure: a singly-supported non-failure line is incomplete (bound)
     "double_sf_single_supported_incomplete": EventForm(
         lambda q, n: 1.0 - 2.0 * (1.0 - q * (1.0 - q) ** 2) ** (n - 2), False, _DOUBLE,
-        lambda b, rt, ct: (b[:, _M, 0] ^ b[:, _M, 1], rt[:, _M] == INCOMPLETE)),
+        lambda b, row, col: (b[:, _M, 0] ^ b[:, _M, 1], row(_M) == INCOMPLETE)),
     # double failure: crossing bit 1 makes the failure line complete
     "double_sf_cross_one_line_complete": EventForm(
         lambda q, n: 1.0 - (q + (1.0 - q) ** 2) ** (n - 2), True, _DOUBLE,
-        lambda b, rt, ct: (b[:, 0, 1], rt[:, 0] == COMPLETE)),
+        lambda b, row, col: (b[:, 0, 1], row(0) == COMPLETE)),
     # double failure: both failure lines class 0 makes the crossing bit 0 (bound)
     "double_sf_lines_nonsp_cross_zero": EventForm(
         lambda q, n: 1.0 - q * (q + (1.0 - q) ** 2) ** (2 * n - 4) / (1.0 - q), False, _DOUBLE,
-        lambda b, rt, ct: ((rt[:, 0] == NON_SP) & (ct[:, 1] == NON_SP), ~b[:, 0, 1])),
+        lambda b, row, col: ((row(0) == NON_SP) & (col(1) == NON_SP), ~b[:, 0, 1])),
 }
+
+
+def _row_class(b: np.ndarray, pairs, m: int) -> np.ndarray:
+    """Class of row ``m`` of every array in a (B, N, N) bool batch, as
+    :func:`classify_line_types` gives it, reading O(N) cells per array.
+
+    The crossing columns are the 1s of the failure rows off the failed
+    cells, plus each failure column holding a 1 off its failure row.  A
+    column's class is the row class of the transposed batch under the
+    transposed failures.
+    """
+    row = b[:, m, :]
+    sp = np.zeros_like(row)
+    cross = np.zeros_like(row)
+    for (i, j) in pairs:
+        sp |= b[:, m, j, None] & b[:, i, :]
+        cross |= b[:, i, :]
+        cross[:, j] = b[:, :i, j].any(axis=-1) | b[:, i + 1:, j].any(axis=-1)
+    sp &= ~row
+    return _line_class(sp.any(axis=-1), (cross & ~row & ~sp).any(axis=-1))
 
 
 def event_probability(event: str, q: float, n: int) -> float:
@@ -288,6 +313,7 @@ def estimate_event_frequency(event: str, n: int, q: float, trials: int, seed: in
         raise ValueError(f"seed must be nonnegative, got {seed}")
     predicted = event_probability(event, q, n)
     form = EVENT_FORMS[event]
+    flipped = tuple((j, i) for (i, j) in form.failures)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     samples = 0
     successes = 0
@@ -297,10 +323,8 @@ def estimate_event_frequency(event: str, n: int, q: float, trials: int, seed: in
         ones = rng.random((b, n, n)) < q
         for (i, j) in form.failures:
             ones[:, i, j] = True
-        e = _sp_cells(ones, form.failures)
-        sup = _support_cells(ones, form.failures)
-        types = line_classes(ones, e, sup.any(axis=-1), sup.any(axis=-2))
-        cond, succ = form.masks(ones, types.row_types, types.col_types)
+        cond, succ = form.masks(ones, partial(_row_class, ones, form.failures),
+                                partial(_row_class, ones.transpose(0, 2, 1), flipped))
         samples += int(cond.sum())
         successes += int((cond & succ).sum())
         done += b

@@ -326,6 +326,21 @@ class TestCLI:
         assert cli_main(["simulate", "--config", str(cfgfile)]) == 2
         assert f"error: {cfgfile}:2: n: invalid literal for int()" in capsys.readouterr().err
 
+    def test_flag_range_error_names_the_flag(self, tmp_path, capsys):
+        assert cli_main(["simulate", "--q", "1.5", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "error: --q: q must lie in (0, 1), got 1.5" in capsys.readouterr().err
+
+    def test_file_range_error_names_file_line_and_key(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"n=16\ntrials=0\nout={tmp_path / 'x.csv'}\n")
+        assert cli_main(["simulate", "--config", str(cfgfile)]) == 2
+        assert f"error: {cfgfile}:2: trials: trials must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_joint_range_error_names_no_setting(self, tmp_path, capsys):
+        # r0 = 500 and rs = 120 each pass with the other at its default.
+        assert cli_main(["simulate", "--r0", "500", "--rs", "120", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "error: need r0' = 1/(1/r0 + 1/rs) > r1" in capsys.readouterr().err
+
     def test_file_key_set_twice_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
         out = tmp_path / "sim.csv"
@@ -369,6 +384,12 @@ class TestCLI:
         lines = out.read_text().splitlines()
         assert len(lines) == 7  # header + six events
         assert "worst |z|" in capsys.readouterr().out
+
+    def test_verify_lemmas_parse_error_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "events.csv"
+        assert cli_main(["verify-lemmas", "--n", "abc", "--out", str(out)]) == 2
+        assert "error: --n: invalid literal for int()" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_verify_lemmas_rejects_no_trials(self, tmp_path, capsys, trials):

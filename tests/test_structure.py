@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sneakpath import ChannelParams, SFPattern, compute_sp_indicators, sample_data
-from sneakpath.channel import InfeasibleSFError, place_sfs
+from sneakpath.channel import InfeasibleSFError, _sp_cells, place_sfs
 from sneakpath import structure
 from sneakpath.instances import make_case_library
 from sneakpath.structure import (
@@ -17,6 +17,7 @@ from sneakpath.structure import (
     event_probability,
     line_classes,
     sp_supports,
+    verify_event_frequencies,
     verify_intersection_correspondence,
 )
 
@@ -170,6 +171,23 @@ class TestLineClasses:
                 return
         pytest.fail("the two views agreed on 100 random 8x8 double-failure arrays")
 
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [3, 4, 8, 33])
+    def test_line_local_class_matches_full_classes(self, n, q):
+        # The lemma estimator classifies only the lines an event reads; each
+        # row and column, the failure lines included, must agree with the
+        # whole-array classes.
+        rng = rng_of(12)
+        for pairs in (structure._SINGLE, structure._DOUBLE, ((n - 1, 2),), ((1, n - 1), (n - 1, 1))):
+            b = rng.random((40, n, n)) < q
+            sup = structure._support_cells(b, pairs)
+            want = line_classes(b, _sp_cells(b, pairs), sup.any(-1), sup.any(-2))
+            flipped = tuple((j, i) for (i, j) in pairs)
+            for m in range(n):
+                assert np.array_equal(structure._row_class(b, pairs, m), want.row_types[:, m])
+                assert np.array_equal(structure._row_class(b.transpose(0, 2, 1), flipped, m),
+                                      want.col_types[:, m])
+
 
 class TestIntersectionCorrespondence:
     def test_requires_double(self, demo_x):
@@ -259,6 +277,17 @@ class TestEventFrequencies:
         small = [estimate_event_frequency(e, n, 0.5, trials, seed=4) for e in sorted(EVENT_FORMS)]
         assert [(a.samples, a.successes) for a in small] == [
             (a.samples, a.successes) for a in default]
+
+    @pytest.mark.parametrize("setting, counts", [
+        ((32, 0.5, 5000, 555),
+         [(1284, 1262), (2535, 2535), (1294, 1294), (2531, 2531), (2563, 2532), (2534, 2534)]),
+        ((16, 0.3, 3000, 7),
+         [(301, 258), (893, 870), (282, 282), (2084, 2082), (1231, 1161), (895, 872)]),
+    ])
+    def test_counts_pinned(self, setting, counts):
+        # (samples, successes) of the six events in sorted order; the first
+        # setting is the benchmark's lemma check.
+        assert [(e.samples, e.successes) for e in verify_event_frequencies(*setting)] == counts
 
     def test_batch_memory_bounded(self):
         tracemalloc.start()
