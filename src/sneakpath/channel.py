@@ -181,7 +181,7 @@ def resistance_map(x: np.ndarray, e: np.ndarray, params: ChannelParams) -> np.nd
     Code x + 2e picks the level: a stored 1 reads r1 whatever its indicator.
     """
     levels = np.array([params.r0, params.r1, params.r0_prime, params.r1])
-    return levels[x + 2 * e]
+    return np.take(levels, x + 2 * e)
 
 
 def sample_readout(

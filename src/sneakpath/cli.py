@@ -18,7 +18,8 @@ most once, and explicit flags override file values.  A value that does not
 parse, or is out of range on its own (it raises the same error with every
 other setting at its default), is reported with its flag, or its file, line
 and key.  A joint error, such as r0' <= r1 from ``--r0`` and ``--rs``
-together, names no setting.
+together, names no setting.  Every ``verify-lemmas`` range check reads one
+setting, so its errors always name the flag.
 """
 
 from __future__ import annotations
@@ -173,9 +174,20 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _lemma_settings(args) -> dict:
+    """The verify-lemmas settings; a range error names the flag of its setting."""
+    values = {key: _parse(key, getattr(args, key), _flag(key)) for key in _LEMMA_DEFAULTS}
+    defaults = {key: SETTINGS[key][1](text) for key, text in _LEMMA_DEFAULTS.items()}
+    for key, value in values.items():
+        try:
+            structure.check_event_settings(**{**defaults, key: value})
+        except ValueError as err:
+            raise ValueError(f"{_flag(key)}: {err}") from err
+    return values
+
+
 def _cmd_verify_lemmas(args) -> int:
-    estimates = structure.verify_event_frequencies(
-        *(_parse(key, getattr(args, key), _flag(key)) for key in _LEMMA_DEFAULTS))
+    estimates = structure.verify_event_frequencies(**_lemma_settings(args))
     rows = []
     worst = 0.0
     for est in estimates:

@@ -27,7 +27,15 @@ The pipeline works on one noisy readout matrix at a time:
    cell sneak-path-capable.
 
 Each step is written for rows and applied to the transposed readout for
-columns, so transposing the readout transposes every decision.
+columns, so transposing the readout transposes every decision.  In steps 3
+and 4 a line's score is a log-likelihood summed over its cells, taken as
+matrix-vector products of per-array fields with 0/1 masks of crossing-line
+classes: the level LLR of r0 and the r1 log-kernel, and for two failures
+the per-cell mixture of a partially affected crossing and, on fully
+affected candidates, its gain (the capable-cell LLR itself at q = 1/2).
+Columns read the transposed fields.  Each field is built once, on first
+use, and shared by both axes and both steps; an array with no proposed
+failure builds none.
 
 Everything is computed in the log domain from one level LLR, linear in
 the readout, with one softplus kernel for every per-cell mixture; all LLRs
@@ -39,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -131,7 +140,10 @@ def _level_llr(y: np.ndarray, level: float, params: ChannelParams, shift: float 
 
 def _log_kernel(y: np.ndarray, level, params: ChannelParams) -> np.ndarray:
     """Per-cell Gaussian log-kernel -(y - level)^2 / (2 sigma^2)."""
-    return -((y - level) ** 2) / (2.0 * params.sigma**2)
+    out = y - level
+    out *= out
+    out /= -2.0 * params.sigma**2
+    return out
 
 
 def _cell_terms(y: np.ndarray, params: ChannelParams):
@@ -225,33 +237,75 @@ def _partial_lines(line_types: np.ndarray, skip) -> np.ndarray:
     return mask
 
 
-def _restricted_argmin(values: np.ndarray, mask: np.ndarray) -> int:
-    """Argmin over masked indices, widening to all when the mask is empty.
+def _restricted_argmax(values: np.ndarray, mask: np.ndarray) -> int:
+    """Argmax over masked indices, widening to all when the mask is empty.
 
-    Ties resolve to the lowest index (np.argmin is first-occurrence).
+    Ties resolve to the lowest index (np.argmax is first-occurrence).
     """
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         idx = np.arange(values.size)
-    return int(idx[np.argmin(values[idx])])
+    return int(idx[np.argmax(values[idx])])
 
 
-def _failed_row(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
+def _line_kernels(y: np.ndarray, params: ChannelParams):
+    """The level LLR of r0 and the r1 log-kernel, the fields every line score reads.
+
+    Their sum is the r0 log-kernel, so a line's log-likelihood under any
+    r0/r1 profile is the r1 kernel's line sum plus the level LLR summed over
+    the crossings that read r0.
+    """
+    return _level_llr(y, params.r0, params), _log_kernel(y, params.r1, params)
+
+
+class _LineFields:
+    """Per-array fields that the failure-line scores read, each built on first use.
+
+    A line score is a field times a 0/1 mask of crossing-line classes: ``F @ m``
+    scores rows and ``F.T @ m`` columns, so rows and columns share every field.
+    The line kernels serve both localizations, the partially-affected-crossing
+    mixtures (see :func:`_candidate_mixtures`) two failures only.  An array
+    that localizes nothing builds none.
+    """
+
+    def __init__(self, y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
+        self.y, self.est, self.params = y, est, params
+
+    @cached_property
+    def kernels(self) -> tuple[np.ndarray, np.ndarray]:
+        return _line_kernels(self.y, self.params)
+
+    @cached_property
+    def mixtures(self) -> tuple[np.ndarray, np.ndarray]:
+        return _candidate_mixtures(self.y, self.params, self.est.sneak_llr, self.kernels)
+
+
+def _failed_row(kernels, est: SPTypeEstimate):
     """The failed row of a single failure, and its bits off the failed column.
 
     The failed row must be class 0, and its bits mirror the column classes
     (a fully affected column crosses the failed row at a stored 1), so the
-    class-0 row whose readout best matches the class profile wins.
+    class-0 row whose readout best matches the class profile wins: the
+    log-likelihood of r1 on class-1 columns and r0 elsewhere, which is the
+    squared residual against that profile over -2 sigma^2.
     """
-    levels = np.where(est.col_types == 1.0, params.r1, params.r0)
-    resid = ((y - levels[None, :]) ** 2).sum(axis=1)
-    return _restricted_argmin(resid, est.row_types == 0.0), (est.col_types == 1.0).astype(np.uint8)
+    l0, k1 = kernels
+    ones = est.col_types == 1.0
+    score = k1 @ np.ones(ones.size)
+    score += l0 @ (~ones).astype(float)
+    return _restricted_argmax(score, est.row_types == 0.0), ones.astype(np.uint8)
 
 
-def locate_single_sf(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
-    """Find the single failed cell and read off its row and column bits."""
-    i, row_bits = _failed_row(y, est, params)
-    j, col_bits = _failed_row(y.T, _transposed(est), params)
+def locate_single_sf(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams,
+                     fields: _LineFields | None = None):
+    """Find the single failed cell and read off its row and column bits.
+
+    ``fields`` are the array's line fields when the caller shares them.
+    """
+    fields = fields or _LineFields(np.asarray(y, dtype=float), est, params)
+    kernels = fields.kernels
+    i, row_bits = _failed_row(kernels, est)
+    j, col_bits = _failed_row(tuple(k.T for k in kernels), _transposed(est))
     row_bits[j] = 1
     col_bits[i] = 1
     return i, j, row_bits, col_bits
@@ -261,57 +315,68 @@ def locate_single_sf(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
 # Double-failure localization, pairing, and refinement.
 # ---------------------------------------------------------------------------
 
-def _candidate_mixtures(y: np.ndarray, params: ChannelParams, gain_rows=slice(None)):
+def _candidate_mixtures(y: np.ndarray, params: ChannelParams, sneak_llr=None, kernels=None):
     """Per-cell log-likelihoods of a cell on a partially affected column.
 
     The cell reads r1 or r0 with equal weight when its row is clear, and r1
     or r0' when its row is fully affected.  Returns the first, mix10 =
     d1 + log 1/2 + sp(level LLR of r0) with d1 the r1 log-kernel, and the
-    gain mix1p - mix10 = sp(level LLR of r0') - sp(level LLR of r0) on the
-    rows ``gain_rows`` only.  The weight 1/2 on r1 holds whatever q is: it is
-    the chance that a singly supported column's 1 sits on a given failure row.
-    ``est.sneak_llr`` weighs r1 by q instead, so the gain equals it only at
-    q = 1/2; reusing it would need a separate path for that q alone.
+    gain mix1p - mix10 = sp(level LLR of r0') - sp(level LLR of r0).  The
+    weight 1/2 on r1 holds whatever q is: it is the chance that a singly
+    supported column's 1 sits on a given failure row.  The capable-cell LLR
+    ``sneak_llr`` of :func:`_cell_terms` weighs r1 by q instead, so it is the
+    gain at q = 1/2 only, and there it is returned when given.  ``kernels``
+    are the line kernels of ``y`` (see :func:`_line_kernels`) when built.
     """
-    sp0 = _softplus(_level_llr(y, params.r0, params))
-    mix10 = _log_kernel(y, params.r1, params) + _LOG_HALF + sp0
-    gain = _softplus(_level_llr(y[gain_rows], params.r0_prime, params))
-    gain -= sp0[gain_rows]
+    l0, d1 = kernels or _line_kernels(y, params)
+    sp0 = _softplus(l0)
+    mix10 = d1 + _LOG_HALF
+    mix10 += sp0
+    if sneak_llr is not None and params.q == 0.5:
+        return mix10, sneak_llr
+    gain = _softplus(_level_llr(y, params.r0_prime, params))
+    gain -= sp0
     return mix10, gain
 
 
-def _candidate_rows(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams) -> tuple[int, int]:
+def _candidate_rows(fields, est: SPTypeEstimate) -> tuple[int, int]:
     """The two rows that best match a failure row, ties to the lower index.
 
     A candidate row is scored against the column classes: class-0 columns
     should read r0, class-1 columns r1, and ambiguous columns split between
     r1 and either r0 (candidate row clear) or r0' (candidate row fully
-    affected, which puts a sneak path under its stored 0s).  Partially
-    affected rows are no candidates unless fewer than two rows are left.
-    The mixtures are evaluated on the candidates' ambiguous crossings only.
+    affected, which puts a sneak path under its stored 0s).  ``fields`` are
+    the line kernels, mix10 and the gain, with rows as their first axis.
+    Partially affected rows are no candidates unless fewer than two rows
+    are left.
     """
+    l0, k1, mix10, gain = fields
+    ct = est.col_types
+    half = (ct == 0.5).astype(float)
+    scores = k1 @ (1.0 - half)
+    scores += l0 @ (ct == 0.0).astype(float)
+    scores += mix10 @ half
+    full = est.row_types == 1.0
+    scores[full] += (gain @ half)[full]
     rows = np.flatnonzero(est.row_types != 0.5)
     if rows.size < 2:
-        rows = np.arange(y.shape[0])
-    row_types = est.row_types
-    if rows.size < y.shape[0]:
-        y, row_types = y[rows], row_types[rows]
-    ct = est.col_types
-    terms = _log_kernel(y, np.where(ct == 0.0, params.r0, params.r1), params)
-    half = np.flatnonzero(ct == 0.5)
-    full = row_types == 1.0
-    terms[:, half], gain = _candidate_mixtures(y[:, half], params, full)
-    scores = terms.sum(axis=1)
-    scores[full] += gain.sum(axis=1)
-    order = rows[np.argsort(-scores, kind="stable")]
+        rows = np.arange(est.row_types.size)
+    order = rows[np.argsort(-scores[rows], kind="stable")]
     return int(order[0]), int(order[1])
 
 
-def double_sf_candidates(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
-    """Score every non-ambiguous line as a potential failure line, keep two."""
-    y = np.asarray(y, dtype=float)
-    return (_candidate_rows(y, est, params),
-            _candidate_rows(y.T, _transposed(est), params))
+def double_sf_candidates(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams,
+                         fields: _LineFields | None = None):
+    """Score every non-ambiguous line as a potential failure line, keep two.
+
+    ``fields`` are the array's line fields when the caller shares them.  At
+    q = 1/2 the scores read ``est.sneak_llr``, so ``est`` must be the
+    estimate of ``y``.
+    """
+    fields = fields or _LineFields(np.asarray(y, dtype=float), est, params)
+    arrays = (*fields.kernels, *fields.mixtures)
+    return (_candidate_rows(arrays, est),
+            _candidate_rows(tuple(f.T for f in arrays), _transposed(est)))
 
 
 def uncertain_pair_llr(
@@ -458,11 +523,15 @@ def detect_non_sf(
     """
     gamma, gamma_prime = thresholds(params)
     y = np.asarray(y, dtype=float)
-    sp_potential = np.zeros(y.shape, dtype=bool)
-    for (i, j) in sf_locations:
-        sp_potential |= (x_sf[:, j] == 1)[:, None] & (x_sf[i, :] == 1)[None, :]
-    thr = np.where(sp_potential, gamma_prime, gamma)
-    bits = (y <= thr).astype(np.uint8)
+    bits = y <= gamma
+    if sf_locations:
+        capable = np.zeros(y.shape, dtype=bool)
+        for (i, j) in sf_locations:
+            capable |= (x_sf[:, j] == 1)[:, None] & (x_sf[i, :] == 1)[None, :]
+        bits &= ~capable
+        capable &= y <= gamma_prime
+        bits |= capable
+    bits = bits.view(np.uint8)
     for (i, j) in sf_locations:
         bits[i, :] = x_sf[i, :]
         bits[:, j] = x_sf[:, j]
@@ -486,8 +555,8 @@ def _settled_lines(i: int, j: int, row_bits, col_bits, est, est_t):
     return row_bits, col_bits, float(support @ col_bits)
 
 
-def _detect_single(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
-    i, j, row_bits, col_bits = locate_single_sf(y, est, params)
+def _detect_single(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams, fields):
+    i, j, row_bits, col_bits = locate_single_sf(y, est, params, fields)
     est_t = _transposed(est)
     rows, cols, score = _settled_lines(i, j, row_bits, col_bits, est, est_t)
     if (est.row_types == 0.5).any() and (est.col_types == 0.5).any():
@@ -502,8 +571,8 @@ def _detect_single(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
     return x_sf, SFHypothesis(kind=PATTERN_SINGLE, locations=((i, j),))
 
 
-def _detect_double(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
-    i_pair, j_pair = double_sf_candidates(y, est, params)
+def _detect_double(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams, fields):
+    i_pair, j_pair = double_sf_candidates(y, est, params, fields)
     (i1, i2), (j1, j2) = i_pair, j_pair
     row_llr = uncertain_pair_llr(y, i_pair, (est.row_types[i1], est.row_types[i2]), params)
     col_llr = uncertain_pair_llr(y.T, j_pair, (est.col_types[j1], est.col_types[j2]), params)
@@ -579,8 +648,9 @@ def detect_array(
     log_prior = [math.log(p) - c if p > 0.0 else -math.inf
                  for p, c in zip(sf_dist.as_tuple(), log_places)]
     x_sf, hyp, best = None, SFHypothesis(kind=PATTERN_NONE), log_prior[0]
+    fields = _LineFields(y, est, params)
     for k, localize in enumerate((_detect_single, _detect_double)[:proposal], start=1):
-        cand_x_sf, cand_hyp = localize(y, est, params)
+        cand_x_sf, cand_hyp = localize(y, est, params, fields)
         score = log_prior[k] + _sneak_evidence(est.sneak_llr, cand_x_sf, cand_hyp.locations)
         if score >= best:
             x_sf, hyp, best = cand_x_sf, cand_hyp, score

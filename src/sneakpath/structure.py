@@ -250,11 +250,27 @@ def event_probability(event: str, q: float, n: int) -> float:
     """Closed-form probability (or lower bound) of a structural event."""
     if event not in EVENT_FORMS:
         raise KeyError(f"unknown event {event!r}; known: {sorted(EVENT_FORMS)}")
+    _check_channel(n, q)
+    return float(EVENT_FORMS[event].probability(q, n))
+
+
+def _check_channel(n: int, q: float) -> None:
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must lie in (0, 1), got {q}")
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    return float(EVENT_FORMS[event].probability(q, n))
+
+
+def check_event_settings(n: int, q: float, trials: int, seed: int) -> None:
+    """Raise ValueError unless the event checks can run with these settings.
+
+    Each check reads one setting, so an error names a single bad value.
+    """
+    _check_channel(n, q)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -305,12 +321,9 @@ class EventEstimate:
 def estimate_event_frequency(event: str, n: int, q: float, trials: int, seed: int) -> EventEstimate:
     """Estimate one event frequency with ``trials`` independent arrays.
 
-    Raises ValueError unless ``trials`` is at least 1 and ``seed`` nonnegative.
+    Raises ValueError unless :func:`check_event_settings` accepts the settings.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    check_event_settings(n, q, trials, seed)
     predicted = event_probability(event, q, n)
     form = EVENT_FORMS[event]
     flipped = tuple((j, i) for (i, j) in form.failures)

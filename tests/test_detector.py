@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_lines import candidate_row_scores, failed_row_residuals
 from oracle_llr import (
     candidate_mixtures,
     completeness_llr,
@@ -27,7 +28,7 @@ from sneakpath import (
     sample_readout,
 )
 from sneakpath.baseline import optimal_threshold
-from sneakpath.bounds import SFCountDistribution
+from sneakpath.bounds import SFCountDistribution, thresholds
 from sneakpath.detector import (
     CASE_ALL_CLEAR,
     CASE_ALL_COMPLETE,
@@ -381,6 +382,62 @@ class TestDoubleCandidates:
         assert {i1, i2} == {1, 3}
 
 
+def _class_patterns(est, rng):
+    """(label, row classes, column classes): the estimate's own and forced ones."""
+    n = est.row_types.size
+    classes = np.array([0.0, 0.5, 1.0])
+    yield "estimated", est.row_types, est.col_types
+    yield "random", rng.choice(classes, n), rng.choice(classes, n)
+    yield "no partial column", rng.choice(classes, n), rng.choice(classes[[0, 2]], n)
+    few = np.full(n, 0.5)
+    few[rng.integers(n)] = rng.choice(classes[[0, 2]])
+    yield "under two eligible rows", few, rng.choice(classes, n)
+    yield "every column partial", rng.choice(classes, n), np.full(n, 0.5)
+
+
+def _near(a, b) -> bool:
+    return abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+
+
+def _assert_failed_line(got, resid, eligible, label):
+    order = eligible[np.argsort(resid[eligible], kind="stable")]
+    if got != order[0]:
+        assert order.size > 1 and got == order[1] and _near(resid[order[0]], resid[order[1]]), label
+
+
+def _assert_candidate_pair(got, scores, eligible, label):
+    order = eligible[np.argsort(-scores[eligible], kind="stable")]
+    want = (int(order[0]), int(order[1]))
+    if _near(scores[order[0]], scores[order[1]]):
+        assert set(got) == set(want), label
+    else:
+        assert got == want, label
+
+
+class TestLineScoresMatchReference:
+    """The mat-vec line scores pick the lines of the per-line reference scores."""
+
+    @pytest.mark.parametrize("n", [8, 33, 128])
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("sigma", [30.0, 150.0, 350.0])
+    def test_same_lines_as_reference(self, n, q, sigma):
+        params = ChannelParams(sigma=sigma, q=q)
+        rng = rng_of([n, int(100 * q), int(sigma)])
+        for _ in range(3):
+            _, _, _, y = sample_instance(n, params, (0.2, 0.3, 0.5), rng)
+            est = estimate_sp_types(y, params)
+            for label, row_types, col_types in _class_patterns(est, rng):
+                e = SPTypeEstimate(row_types, col_types, est.sneak_llr)
+                i, j, _, _ = locate_single_sf(y, e, params)
+                _assert_failed_line(i, *failed_row_residuals(y, row_types, col_types, params), label)
+                _assert_failed_line(j, *failed_row_residuals(y.T, col_types, row_types, params), label)
+                rows, cols = double_sf_candidates(y, e, params)
+                _assert_candidate_pair(rows, *candidate_row_scores(y, row_types, col_types, params),
+                                       label)
+                _assert_candidate_pair(cols, *candidate_row_scores(y.T, col_types, row_types, params),
+                                       label)
+
+
 class TestPairLLR:
     def test_plugin_value(self, ref_params):
         y = np.zeros((2, 3))
@@ -546,6 +603,25 @@ class TestDoubleThreshold:
         y[2, 0] = 149.0
         bits = detect_non_sf(y, ((0, 3),), x_sf, ref_params)
         assert bits[2, 0] == 1
+
+    @pytest.mark.parametrize("q, sigma", [(0.2, 150.0), (0.5, 150.0), (0.8, 150.0), (0.8, 350.0)])
+    def test_matches_per_cell_threshold_field(self, q, sigma):
+        # At q = 0.8, sigma = 350 the tight threshold lies above the wide one.
+        params = ChannelParams(sigma=sigma, q=q)
+        gamma, gamma_prime = thresholds(params)
+        assert (gamma_prime > gamma) == (q == 0.8 and sigma == 350.0)
+        rng = rng_of([int(100 * q), int(sigma)])
+        for _ in range(10):
+            x, sf, _, y = sample_instance(24, params, (0.2, 0.3, 0.5), rng)
+            capable = np.zeros(y.shape, dtype=bool)
+            for (i, j) in sf.pairs:
+                capable |= (x[:, j] == 1)[:, None] & (x[i, :] == 1)[None, :]
+            want = (y <= np.where(capable, gamma_prime, gamma)).astype(np.uint8)
+            for (i, j) in sf.pairs:
+                want[i, :] = x[i, :]
+                want[:, j] = x[:, j]
+            got = detect_non_sf(y, sf.pairs, x, params)
+            assert got.dtype == np.uint8 and np.array_equal(got, want)
 
 
 class TestFullPipeline:

@@ -396,12 +396,18 @@ class TestCLI:
         out = tmp_path / "events.csv"
         code = cli_main(["verify-lemmas", "--n", "12", "--trials", trials, "--out", str(out)])
         assert code == 2
-        assert "error: trials must be at least 1" in capsys.readouterr().err
+        assert "error: --trials: trials must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_verify_lemmas_rejects_negative_seed(self, tmp_path, capsys):
         out = tmp_path / "events.csv"
         code = cli_main(["verify-lemmas", "--n", "12", "--trials", "10", "--seed", "-1", "--out", str(out)])
         assert code == 2
-        assert "error: seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert "error: --seed: seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_lemmas_range_error_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "events.csv"
+        assert cli_main(["verify-lemmas", "--q", "1.5", "--out", str(out)]) == 2
+        assert "error: --q: q must lie in (0, 1), got 1.5" in capsys.readouterr().err
         assert not out.exists()
