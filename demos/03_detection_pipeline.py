@@ -15,6 +15,7 @@ from sneakpath.detector import (
     double_sf_candidates,
     estimate_sp_types,
 )
+from sneakpath.harness import sf_diagnostics
 from sneakpath.instances import KIND_DOUBLE_11, make_case_instance
 
 params = ChannelParams(sigma=120.0)
@@ -46,9 +47,5 @@ print(f"declared locations: {h.locations}")
 errors = int((res.x_hat != inst.x).sum())
 print(f"\nbit errors: {errors} of {inst.x.size} "
       f"(BER {errors / inst.x.size:.4f})")
-truth_lines = np.zeros_like(inst.x, dtype=bool)
-for (i, j) in inst.sf.pairs:
-    truth_lines[i, :] = True
-    truth_lines[:, j] = True
-line_errors = int((res.x_hat != inst.x)[truth_lines].sum())
-print(f"errors on the failure rows/columns: {line_errors} of {int(truth_lines.sum())}")
+diag = sf_diagnostics(inst.x, inst.sf, res.x_hat, h.locations)
+print(f"errors on the failure rows/columns: {diag.sfrc_errors} of {diag.sfrc_bits}")

@@ -33,9 +33,10 @@ matrix-vector products of per-array fields with 0/1 masks of crossing-line
 classes: the level LLR of r0 and the r1 log-kernel, and for two failures
 the per-cell mixture of a partially affected crossing and, on fully
 affected candidates, its gain (the capable-cell LLR itself at q = 1/2).
-Columns read the transposed fields.  Each field is built once, on first
-use, and shared by both axes and both steps; an array with no proposed
-failure builds none.
+Columns read the transposed fields.  The line kernels are built once per
+array, in :func:`detect_array` when a failure is proposed, and shared by
+both axes and both steps; the mixtures are built once per two-failure
+proposal.  An array with no proposed failure builds neither.
 
 Everything is computed in the log domain from one level LLR, linear in
 the readout, with one softplus kernel for every per-cell mixture; all LLRs
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -237,15 +237,10 @@ def _partial_lines(line_types: np.ndarray, skip) -> np.ndarray:
     return mask
 
 
-def _restricted_argmax(values: np.ndarray, mask: np.ndarray) -> int:
-    """Argmax over masked indices, widening to all when the mask is empty.
-
-    Ties resolve to the lowest index (np.argmax is first-occurrence).
-    """
+def _eligible(mask: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the masked lines, or of every line when fewer than ``k`` are masked."""
     idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        idx = np.arange(values.size)
-    return int(idx[np.argmax(values[idx])])
+    return idx if idx.size >= k else np.arange(mask.size)
 
 
 def _line_kernels(y: np.ndarray, params: ChannelParams):
@@ -258,28 +253,6 @@ def _line_kernels(y: np.ndarray, params: ChannelParams):
     return _level_llr(y, params.r0, params), _log_kernel(y, params.r1, params)
 
 
-class _LineFields:
-    """Per-array fields that the failure-line scores read, each built on first use.
-
-    A line score is a field times a 0/1 mask of crossing-line classes: ``F @ m``
-    scores rows and ``F.T @ m`` columns, so rows and columns share every field.
-    The line kernels serve both localizations, the partially-affected-crossing
-    mixtures (see :func:`_candidate_mixtures`) two failures only.  An array
-    that localizes nothing builds none.
-    """
-
-    def __init__(self, y: np.ndarray, est: SPTypeEstimate, params: ChannelParams):
-        self.y, self.est, self.params = y, est, params
-
-    @cached_property
-    def kernels(self) -> tuple[np.ndarray, np.ndarray]:
-        return _line_kernels(self.y, self.params)
-
-    @cached_property
-    def mixtures(self) -> tuple[np.ndarray, np.ndarray]:
-        return _candidate_mixtures(self.y, self.params, self.est.sneak_llr, self.kernels)
-
-
 def _failed_row(kernels, est: SPTypeEstimate):
     """The failed row of a single failure, and its bits off the failed column.
 
@@ -287,23 +260,25 @@ def _failed_row(kernels, est: SPTypeEstimate):
     (a fully affected column crosses the failed row at a stored 1), so the
     class-0 row whose readout best matches the class profile wins: the
     log-likelihood of r1 on class-1 columns and r0 elsewhere, which is the
-    squared residual against that profile over -2 sigma^2.
+    squared residual against that profile over -2 sigma^2.  Ties go to the
+    lower index; with no class-0 row every row is eligible.
     """
     l0, k1 = kernels
     ones = est.col_types == 1.0
     score = k1 @ np.ones(ones.size)
     score += l0 @ (~ones).astype(float)
-    return _restricted_argmax(score, est.row_types == 0.0), ones.astype(np.uint8)
+    rows = _eligible(est.row_types == 0.0, 1)
+    return int(rows[np.argmax(score[rows])]), ones.astype(np.uint8)
 
 
 def locate_single_sf(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams,
-                     fields: _LineFields | None = None):
+                     kernels=None):
     """Find the single failed cell and read off its row and column bits.
 
-    ``fields`` are the array's line fields when the caller shares them.
+    ``kernels`` are the line kernels of ``y`` (see :func:`_line_kernels`)
+    when the caller has built them.
     """
-    fields = fields or _LineFields(np.asarray(y, dtype=float), est, params)
-    kernels = fields.kernels
+    kernels = kernels or _line_kernels(np.asarray(y, dtype=float), params)
     i, row_bits = _failed_row(kernels, est)
     j, col_bits = _failed_row(tuple(k.T for k in kernels), _transposed(est))
     row_bits[j] = 1
@@ -358,25 +333,24 @@ def _candidate_rows(fields, est: SPTypeEstimate) -> tuple[int, int]:
     scores += mix10 @ half
     full = est.row_types == 1.0
     scores[full] += (gain @ half)[full]
-    rows = np.flatnonzero(est.row_types != 0.5)
-    if rows.size < 2:
-        rows = np.arange(est.row_types.size)
+    rows = _eligible(est.row_types != 0.5, 2)
     order = rows[np.argsort(-scores[rows], kind="stable")]
     return int(order[0]), int(order[1])
 
 
 def double_sf_candidates(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams,
-                         fields: _LineFields | None = None):
+                         kernels=None):
     """Score every non-ambiguous line as a potential failure line, keep two.
 
-    ``fields`` are the array's line fields when the caller shares them.  At
-    q = 1/2 the scores read ``est.sneak_llr``, so ``est`` must be the
-    estimate of ``y``.
+    ``kernels`` are the line kernels of ``y`` when the caller has built
+    them.  At q = 1/2 the scores read ``est.sneak_llr``, so ``est`` must be
+    the estimate of ``y``.
     """
-    fields = fields or _LineFields(np.asarray(y, dtype=float), est, params)
-    arrays = (*fields.kernels, *fields.mixtures)
-    return (_candidate_rows(arrays, est),
-            _candidate_rows(tuple(f.T for f in arrays), _transposed(est)))
+    y = np.asarray(y, dtype=float)
+    kernels = kernels or _line_kernels(y, params)
+    fields = (*kernels, *_candidate_mixtures(y, params, est.sneak_llr, kernels))
+    return (_candidate_rows(fields, est),
+            _candidate_rows(tuple(f.T for f in fields), _transposed(est)))
 
 
 def uncertain_pair_llr(
@@ -555,8 +529,8 @@ def _settled_lines(i: int, j: int, row_bits, col_bits, est, est_t):
     return row_bits, col_bits, float(support @ col_bits)
 
 
-def _detect_single(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams, fields):
-    i, j, row_bits, col_bits = locate_single_sf(y, est, params, fields)
+def _detect_single(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams, kernels):
+    i, j, row_bits, col_bits = locate_single_sf(y, est, params, kernels)
     est_t = _transposed(est)
     rows, cols, score = _settled_lines(i, j, row_bits, col_bits, est, est_t)
     if (est.row_types == 0.5).any() and (est.col_types == 0.5).any():
@@ -571,8 +545,8 @@ def _detect_single(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams, fi
     return x_sf, SFHypothesis(kind=PATTERN_SINGLE, locations=((i, j),))
 
 
-def _detect_double(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams, fields):
-    i_pair, j_pair = double_sf_candidates(y, est, params, fields)
+def _detect_double(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams, kernels):
+    i_pair, j_pair = double_sf_candidates(y, est, params, kernels)
     (i1, i2), (j1, j2) = i_pair, j_pair
     row_llr = uncertain_pair_llr(y, i_pair, (est.row_types[i1], est.row_types[i2]), params)
     col_llr = uncertain_pair_llr(y.T, j_pair, (est.col_types[j1], est.col_types[j2]), params)
@@ -648,9 +622,9 @@ def detect_array(
     log_prior = [math.log(p) - c if p > 0.0 else -math.inf
                  for p, c in zip(sf_dist.as_tuple(), log_places)]
     x_sf, hyp, best = None, SFHypothesis(kind=PATTERN_NONE), log_prior[0]
-    fields = _LineFields(y, est, params)
+    kernels = _line_kernels(y, params) if proposal else None
     for k, localize in enumerate((_detect_single, _detect_double)[:proposal], start=1):
-        cand_x_sf, cand_hyp = localize(y, est, params, fields)
+        cand_x_sf, cand_hyp = localize(y, est, params, kernels)
         score = log_prior[k] + _sneak_evidence(est.sneak_llr, cand_x_sf, cand_hyp.locations)
         if score >= best:
             x_sf, hyp, best = cand_x_sf, cand_hyp, score

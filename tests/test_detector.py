@@ -29,6 +29,7 @@ from sneakpath import (
 )
 from sneakpath.baseline import optimal_threshold
 from sneakpath.bounds import SFCountDistribution, thresholds
+from sneakpath import detector
 from sneakpath.detector import (
     CASE_ALL_CLEAR,
     CASE_ALL_COMPLETE,
@@ -50,7 +51,13 @@ from sneakpath.detector import (
     resolve_pairing,
     uncertain_pair_llr,
 )
-from sneakpath.instances import ALL_KINDS, KIND_DOUBLE_11, KIND_SINGLE, make_case_instance
+from sneakpath.instances import (
+    ALL_KINDS,
+    KIND_DOUBLE_11,
+    KIND_NO_SF,
+    KIND_SINGLE,
+    make_case_instance,
+)
 
 
 def rng_of(seed):
@@ -436,6 +443,38 @@ class TestLineScoresMatchReference:
                                        label)
                 _assert_candidate_pair(cols, *candidate_row_scores(y.T, col_types, row_types, params),
                                        label)
+
+
+class TestLineFieldsBuiltOnce:
+    """Both axes and both localizations share one build of each per-array field."""
+
+    @pytest.mark.parametrize("q", [0.2, 0.5])
+    @pytest.mark.parametrize("kind, proposal, kernel_builds, mixture_builds", [
+        (KIND_NO_SF, PATTERN_NONE, 0, 0),
+        (KIND_SINGLE, PATTERN_SINGLE, 1, 0),
+        (KIND_DOUBLE_11, PATTERN_DOUBLE, 1, 1),
+    ])
+    def test_builds_per_proposal(self, monkeypatch, q, kind, proposal, kernel_builds,
+                                 mixture_builds):
+        calls = {"_line_kernels": 0, "_candidate_mixtures": 0}
+
+        def counting(name):
+            build = getattr(detector, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return build(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(detector, name, counting(name))
+        params = ChannelParams(sigma=1e-6, q=q)
+        rng = rng_of([17, int(10 * q)])
+        inst = make_case_instance(kind, 16, q, rng)
+        y = sample_readout(inst.x, inst.e, params, rng)
+        assert classify_sf_pattern(estimate_sp_types(y, params)) == proposal
+        detect_array(y, params)
+        assert calls == {"_line_kernels": kernel_builds, "_candidate_mixtures": mixture_builds}
 
 
 class TestPairLLR:
