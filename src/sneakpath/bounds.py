@@ -131,6 +131,15 @@ def _per_count_average(n: int, p: SFCountDistribution, q: float, far: float, nea
     return total
 
 
+def _lrs_tails(params: ChannelParams) -> tuple[float, float]:
+    """The genie's LRS-side tails Q((gamma - r1)/sigma) and Q((gamma' - r1)/sigma):
+    a stored 1 read past the threshold off and on the sneak-path-capable cells."""
+    gamma, gamma_prime = thresholds(params)
+    sig = params.sigma
+    return (float(q_function((gamma - params.r1) / sig)),
+            float(q_function((gamma_prime - params.r1) / sig)))
+
+
 def ber_lower_bound(n: int, p: SFCountDistribution, params: ChannelParams) -> float:
     """Finite-array BER floor at array dimension ``n``.
 
@@ -140,21 +149,14 @@ def ber_lower_bound(n: int, p: SFCountDistribution, params: ChannelParams) -> fl
     the closed form is stated; see ``genie_error_symmetric`` for the
     two-sided diagnostic variant.
     """
-    gamma, gamma_prime = thresholds(params)
-    sig = params.sigma
-    q_far = float(q_function((gamma - params.r1) / sig))
-    q_near = float(q_function((gamma_prime - params.r1) / sig))
-    return _per_count_average(n, p, params.q, q_far, q_near)
+    return _per_count_average(n, p, params.q, *_lrs_tails(params))
 
 
 def asymptotic_bound(p: SFCountDistribution, params: ChannelParams) -> float:
     """Large-array limit of :func:`ber_lower_bound`."""
-    gamma, gamma_prime = thresholds(params)
-    sig = params.sigma
+    q_far, q_near = _lrs_tails(params)
     psp = p.sp_potential_probability(params.q)
-    return (1.0 - psp) * float(q_function((gamma - params.r1) / sig)) + psp * float(
-        q_function((gamma_prime - params.r1) / sig)
-    )
+    return (1.0 - psp) * q_far + psp * q_near
 
 
 def genie_error_symmetric(n: int, p: SFCountDistribution, params: ChannelParams) -> float:
@@ -165,12 +167,8 @@ def genie_error_symmetric(n: int, p: SFCountDistribution, params: ChannelParams)
     alongside it for comparison; it is not used in any acceptance check.
     """
     gamma, gamma_prime = thresholds(params)
-    q = params.q
-    sig = params.sigma
-    miss_far = q * float(q_function((gamma - params.r1) / sig)) + (1.0 - q) * float(
-        q_function((params.r0 - gamma) / sig)
-    )
-    miss_near = q * float(q_function((gamma_prime - params.r1) / sig)) + (1.0 - q) * float(
-        q_function((params.r0_prime - gamma_prime) / sig)
-    )
+    q, sig = params.q, params.sigma
+    q_far, q_near = _lrs_tails(params)
+    miss_far = q * q_far + (1.0 - q) * float(q_function((params.r0 - gamma) / sig))
+    miss_near = q * q_near + (1.0 - q) * float(q_function((params.r0_prime - gamma_prime) / sig))
     return _per_count_average(n, p, q, miss_far, miss_near)

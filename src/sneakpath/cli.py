@@ -18,8 +18,8 @@ most once, and explicit flags override file values.  A value that does not
 parse, or is out of range on its own (it raises the same error with every
 other setting at its default), is reported with its flag, or its file, line
 and key.  A joint error, such as r0' <= r1 from ``--r0`` and ``--rs``
-together, names no setting.  Every ``verify-lemmas`` range check reads one
-setting, so its errors always name the flag.
+together, names no setting.  ``verify-lemmas`` names the flag of a bad
+setting by the same rule.
 """
 
 from __future__ import annotations
@@ -122,17 +122,22 @@ def _config(args) -> harness.ExperimentConfig:
     texts.update((key, (text, _flag(key))) for key in SETTINGS
                  if (text := getattr(args, key, None)) is not None)
     fields = {SETTINGS[key][0]: _parse(key, text, where) for key, (text, where) in texts.items()}
+    where = {SETTINGS[key][0]: place for key, (_, place) in texts.items()}
+    return _checked(harness.ExperimentConfig, fields, where, {})
+
+
+def _checked(build, values: dict, where: dict, defaults: dict):
+    """``build(**values)``; its ValueError names ``where[key]`` if setting ``key``
+    raises it alone, with the rest at ``defaults`` (or at ``build``'s own)."""
     try:
-        return harness.ExperimentConfig(**fields)
+        return build(**values)
     except ValueError as err:
-        # A setting is at fault alone if it raises this error with the rest at their defaults.
-        for key, (_, where) in texts.items():
-            field = SETTINGS[key][0]
+        for key, value in values.items():
             try:
-                harness.ExperimentConfig(**{field: fields[field]})
+                build(**{**defaults, key: value})
             except ValueError as alone:
                 if str(alone) == str(err):
-                    raise ValueError(f"{where}: {err}") from err
+                    raise ValueError(f"{where[key]}: {err}") from err
         raise
 
 
@@ -178,11 +183,7 @@ def _lemma_settings(args) -> dict:
     """The verify-lemmas settings; a range error names the flag of its setting."""
     values = {key: _parse(key, getattr(args, key), _flag(key)) for key in _LEMMA_DEFAULTS}
     defaults = {key: SETTINGS[key][1](text) for key, text in _LEMMA_DEFAULTS.items()}
-    for key, value in values.items():
-        try:
-            structure.check_event_settings(**{**defaults, key: value})
-        except ValueError as err:
-            raise ValueError(f"{_flag(key)}: {err}") from err
+    _checked(structure.check_event_settings, values, {key: _flag(key) for key in values}, defaults)
     return values
 
 

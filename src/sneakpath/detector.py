@@ -2,8 +2,9 @@
 
 The pipeline works on one noisy readout matrix at a time:
 
-1. Two LLR passes classify every row and column as clear (0), partially
-   affected (0.5), or fully affected (1.0) by sneak-path interference.
+1. Two LLR passes classify every row and column as clear, partially
+   affected, or fully affected by sneak-path interference (the classes of
+   :mod:`sneakpath.structure`).
    Every per-cell term is a softplus of the readout's log-likelihood ratio
    of r0 or r0' against r1, which is linear in the readout.
 2. The class pattern proposes a failure count (none, one, two).  Every count
@@ -53,6 +54,7 @@ import numpy as np
 
 from .bounds import REFERENCE_SF_DIST, SFCountDistribution, thresholds
 from .channel import ChannelParams
+from .structure import COMPLETE, INCOMPLETE, NON_SP, _line_class
 
 PATTERN_NONE = "none"
 PATTERN_SINGLE = "single"
@@ -174,31 +176,20 @@ def _cell_terms(y: np.ndarray, params: ChannelParams):
     return presence, completeness, sneak
 
 
-def _line_types(presence: np.ndarray, completeness: np.ndarray) -> np.ndarray:
-    """Hard classes of one axis's lines from the two LLR passes.
-
-    Class 0 when the presence LLR is negative; otherwise 0.5 or 1.0 by the
-    sign of the completeness LLR (boundaries are inclusive toward the
-    stronger interference class).
-    """
-    return np.where(presence < 0.0, 0.0, np.where(completeness < 0.0, 0.5, 1.0))
-
-
 def estimate_sp_types(y: np.ndarray, params: ChannelParams) -> SPTypeEstimate:
     """Run both LLR passes over a whole readout matrix in one vectorized pass.
 
-    Presence sums per line, completeness over crossing lines flagged present.
+    A line holds sneak-path cells when its presence sum is nonnegative; its
+    completeness sums over the crossing lines that hold them, and a negative
+    sum makes it partially affected (boundaries are inclusive toward the
+    stronger interference class).
     """
     t1, t2, sneak_llr = _cell_terms(np.asarray(y, dtype=float), params)
-    l1_rows = t1.sum(axis=1)
-    l1_cols = t1.sum(axis=0)
-    flags_rows = (l1_rows >= 0.0).astype(float)
-    flags_cols = (l1_cols >= 0.0).astype(float)
-    l2_cols = flags_rows @ t2
-    l2_rows = t2 @ flags_cols
+    rows = t1.sum(axis=1) >= 0.0
+    cols = t1.sum(axis=0) >= 0.0
     return SPTypeEstimate(
-        row_types=_line_types(l1_rows, l2_rows),
-        col_types=_line_types(l1_cols, l2_cols),
+        row_types=_line_class(rows, t2 @ cols < 0.0),
+        col_types=_line_class(cols, rows @ t2 < 0.0),
         sneak_llr=sneak_llr,
     )
 
@@ -219,9 +210,9 @@ def classify_sf_pattern(est: SPTypeEstimate) -> str:
     noisy line can raise the count.  :func:`detect_array` steps down from
     the proposal to the most probable count.
     """
-    if np.all(est.row_types == 0.0) and np.all(est.col_types == 0.0):
+    if np.all(est.row_types == NON_SP) and np.all(est.col_types == NON_SP):
         return PATTERN_NONE
-    if np.any(est.col_types == 0.5) or np.any(est.row_types == 0.5):
+    if np.any(est.col_types == INCOMPLETE) or np.any(est.row_types == INCOMPLETE):
         return PATTERN_DOUBLE
     return PATTERN_SINGLE
 
@@ -232,7 +223,7 @@ def classify_sf_pattern(est: SPTypeEstimate) -> str:
 
 def _partial_lines(line_types: np.ndarray, skip) -> np.ndarray:
     """Mask of the partially affected lines, less the lines in ``skip``."""
-    mask = line_types == 0.5
+    mask = line_types == INCOMPLETE
     mask[list(skip)] = False
     return mask
 
@@ -264,10 +255,10 @@ def _failed_row(kernels, est: SPTypeEstimate):
     lower index; with no class-0 row every row is eligible.
     """
     l0, k1 = kernels
-    ones = est.col_types == 1.0
+    ones = est.col_types == COMPLETE
     score = k1 @ np.ones(ones.size)
     score += l0 @ (~ones).astype(float)
-    rows = _eligible(est.row_types == 0.0, 1)
+    rows = _eligible(est.row_types == NON_SP, 1)
     return int(rows[np.argmax(score[rows])]), ones.astype(np.uint8)
 
 
@@ -327,13 +318,13 @@ def _candidate_rows(fields, est: SPTypeEstimate) -> tuple[int, int]:
     """
     l0, k1, mix10, gain = fields
     ct = est.col_types
-    half = (ct == 0.5).astype(float)
+    half = (ct == INCOMPLETE).astype(float)
     scores = k1 @ (1.0 - half)
-    scores += l0 @ (ct == 0.0).astype(float)
+    scores += l0 @ (ct == NON_SP).astype(float)
     scores += mix10 @ half
-    full = est.row_types == 1.0
+    full = est.row_types == COMPLETE
     scores[full] += (gain @ half)[full]
-    rows = _eligible(est.row_types != 0.5, 2)
+    rows = _eligible(est.row_types != INCOMPLETE, 2)
     order = rows[np.argsort(-scores[rows], kind="stable")]
     return int(order[0]), int(order[1])
 
@@ -366,7 +357,7 @@ def uncertain_pair_llr(
     class: a fully affected failure line reads r0' on its zeros at ambiguous
     crossings, a clear one reads r0.  Swapping the pair negates the result.
     """
-    ra, rb = (params.r0_prime if t == 1.0 else params.r0 for t in pair_types)
+    ra, rb = (params.r0_prime if t == COMPLETE else params.r0 for t in pair_types)
     return _level_llr(y[pair[0]], ra, params) - _level_llr(y[pair[1]], rb, params)
 
 
@@ -378,10 +369,10 @@ def _pair_bits(line_types: np.ndarray, pair_llr: np.ndarray) -> np.ndarray:
     """
     n = line_types.size
     bits = np.zeros((2, n), dtype=np.uint8)
-    ones = line_types == 1.0
+    ones = line_types == COMPLETE
     bits[0, ones] = 1
     bits[1, ones] = 1
-    unc = line_types == 0.5
+    unc = line_types == INCOMPLETE
     bits[0, unc] = (pair_llr[unc] <= 0.0).astype(np.uint8)
     bits[1, unc] = (pair_llr[unc] > 0.0).astype(np.uint8)
     return bits
@@ -410,17 +401,17 @@ def resolve_pairing(
     ti = tuple(float(est.row_types[i]) for i in i_pair)
     tj = tuple(float(est.col_types[j]) for j in j_pair)
 
-    if ti == (0.0, 0.0) and tj == (0.0, 0.0):
+    if ti + tj == (NON_SP,) * 4:
         # Under h0 the diagonal crossings are the failed cells and read r1.
         r0_llr = _level_llr(y[np.ix_(i_pair, j_pair)], params.r0, params)
         score = r0_llr[0, 1] + r0_llr[1, 0] - (r0_llr[0, 0] + r0_llr[1, 1])
         return bool(score > 0.0), CASE_ALL_CLEAR, bool(score == 0.0)
 
-    if sorted(ti) == [0.0, 1.0] and sorted(tj) == [0.0, 1.0]:
+    if sorted(ti) == sorted(tj) == [NON_SP, COMPLETE]:
         # A failure couples a fully affected line with a clear one.
         return ti[0] != tj[0], CASE_MIXED, False
 
-    case = CASE_ALL_COMPLETE if ti == (1.0, 1.0) and tj == (1.0, 1.0) else CASE_FALLBACK
+    case = CASE_ALL_COMPLETE if ti + tj == (COMPLETE,) * 4 else CASE_FALLBACK
     # Hard-decide every outside cell to its nearest level; a pairing that
     # implies a sneak path over a cell reading plain r0 is contradicted.
     is_r0 = (y > (params.r0_prime + params.r0) / 2.0).astype(float)
@@ -533,7 +524,7 @@ def _detect_single(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams, ke
     i, j, row_bits, col_bits = locate_single_sf(y, est, params, kernels)
     est_t = _transposed(est)
     rows, cols, score = _settled_lines(i, j, row_bits, col_bits, est, est_t)
-    if (est.row_types == 0.5).any() and (est.col_types == 0.5).any():
+    if (est.row_types == INCOMPLETE).any() and (est.col_types == INCOMPLETE).any():
         # Each settled bit moves the crossing partial lines' evidence, so column
         # first (row first on the transpose) can end elsewhere; keep the better.
         alt_cols, alt_rows, alt_score = _settled_lines(j, i, col_bits, row_bits, est_t, est)
@@ -566,8 +557,8 @@ def _detect_double(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams, ke
     # class correspondence (fully affected line <=> crossing stores 1).
     x_sf[i1, ja] = 1
     x_sf[i2, jb] = 1
-    x_sf[i1, jb] = 1 if (est.row_types[i1] == 1.0 or est.col_types[jb] == 1.0) else 0
-    x_sf[i2, ja] = 1 if (est.row_types[i2] == 1.0 or est.col_types[ja] == 1.0) else 0
+    x_sf[i1, jb] = 1 if (est.row_types[i1] == COMPLETE or est.col_types[jb] == COMPLETE) else 0
+    x_sf[i2, ja] = 1 if (est.row_types[i2] == COMPLETE or est.col_types[ja] == COMPLETE) else 0
     hyp = SFHypothesis(kind=PATTERN_DOUBLE, locations=((i1, ja), (i2, jb)),
                        case=case, pairing_tie=tie)
     return x_sf, hyp

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import InfeasibleSFError, SFPattern, compute_sp_indicators, place_sfs, sample_data
-from .structure import COMPLETE, INCOMPLETE, NON_SP, line_classes, sp_supports
+from .structure import COMPLETE, INCOMPLETE, NON_SP, _line_class, line_classes, sp_supports
 
 KIND_NO_SF = "no_sf"
 KIND_SINGLE = "single"
@@ -94,6 +94,19 @@ def _impostor_margin_ok(x: np.ndarray, e: np.ndarray, col_types: np.ndarray,
     return bool(pen[others].min() > worst_true)
 
 
+def _noiseless_view(x: np.ndarray, e: np.ndarray):
+    """Row and column classes as the vanishing-noise pipeline sees them.
+
+    Its second classification pass only weighs crossings with lines that
+    hold sneak-path cells, so a line whose only plain-HRS crossing sits on a
+    sneak-path-free (e.g. failure) line still looks fully affected.  The
+    literal class crosses with merely *supported* lines; the two views
+    coincide asymptotically and on every instance this module emits.
+    """
+    view = line_classes(x, e, e.any(axis=1), e.any(axis=0))
+    return view.row_types, view.col_types
+
+
 def _single_sf_row_premises(x, e, support_cells, row_types, col_types, i: int) -> bool:
     """Single-failure premises on the rows; the columns' are those of the transpose."""
     row_sup = support_cells.any(axis=1)
@@ -110,14 +123,7 @@ def _single_sf_row_premises(x, e, support_cells, row_types, col_types, i: int) -
 def _single_sf_premises(x: np.ndarray, sf: SFPattern, e: np.ndarray) -> bool:
     (i, j) = sf.pairs[0]
     sup = sp_supports(x, sf).cells
-    # Line classes as the vanishing-noise pipeline sees them: its second
-    # classification pass only weighs crossings with lines that hold
-    # sneak-path cells, so a line whose only plain-HRS crossing sits on a
-    # sneak-path-free (e.g. failure) line still looks fully affected.  The
-    # literal class crosses with merely *supported* lines; the two views
-    # coincide asymptotically and on every instance this module emits.
-    view = line_classes(x, e, e.any(axis=1), e.any(axis=0))
-    rt, ct = view.row_types, view.col_types
+    rt, ct = _noiseless_view(x, e)
     return (_single_sf_row_premises(x, e, sup, rt, ct, i)
             and _single_sf_row_premises(x.T, e.T, sup.T, ct, rt, j))
 
@@ -131,8 +137,7 @@ def _double_sf_row_premises(x, e, support_counts, row_types, col_types, rows, cr
     others = np.ones(x.shape[0], dtype=bool)
     others[list(rows)] = False
     # Non-failure lines: support count 1 <=> partially affected, 2 <=> fully.
-    expect = np.where(support_counts == 0, NON_SP,
-                      np.where(support_counts == 1, INCOMPLETE, COMPLETE))
+    expect = _line_class(support_counts > 0, support_counts == 1)
     if not np.all(row_types[others] == expect[others]):
         return False
     # Failure lines: crossing bit 1 <=> fully affected, 0 <=> clear.
@@ -146,9 +151,7 @@ def _double_sf_premises(x: np.ndarray, sf: SFPattern, e: np.ndarray, cross) -> b
     if (int(x[i, jp]), int(x[ip, j])) != cross:
         return False
     sup = sp_supports(x, sf)
-    # The noiseless view, as in _single_sf_premises.
-    view = line_classes(x, e, e.any(axis=1), e.any(axis=0))
-    rt, ct = view.row_types, view.col_types
+    rt, ct = _noiseless_view(x, e)
     # The pattern is only declared double if some line is partially affected.
     if not (np.any(rt == INCOMPLETE) or np.any(ct == INCOMPLETE)):
         return False

@@ -3,11 +3,11 @@
 Given the stored bits and the active selector failures, every row and column
 falls into one of three classes:
 
-* ``0.0``  no sneak-path cell in the line,
-* ``0.5``  the line has sneak-path cells but some critical cell reads plain
-  HRS (an "incomplete" line; only possible with two failures),
-* ``1.0``  the line has sneak-path cells and every critical cell reads LRS
-  or the degraded sneak-path level (a "complete" line).
+* ``NON_SP`` (0.0)  no sneak-path cell in the line,
+* ``INCOMPLETE`` (0.5)  the line has sneak-path cells but some critical cell
+  reads plain HRS (only possible with two failures),
+* ``COMPLETE`` (1.0)  the line has sneak-path cells and every critical cell
+  reads LRS or the degraded sneak-path level.
 
 A *support* is a stored 1 inside a failure's row or column (excluding the
 failed cell itself); a *critical cell* sits at the crossing of a supported
@@ -114,7 +114,11 @@ def line_classes(
 
 
 def _line_class(has_sp: np.ndarray, is_partial: np.ndarray) -> np.ndarray:
-    """Class of lines that hold sneak-path cells or not, partial or not."""
+    """Class of lines that hold sneak-path cells or not, partial or not.
+
+    The one class rule: the ground truth here, the detector's estimate and
+    the instance screen all map their evidence to classes through it.
+    """
     return np.where(has_sp, np.where(is_partial, INCOMPLETE, COMPLETE), NON_SP)
 
 
@@ -262,10 +266,7 @@ def _check_channel(n: int, q: float) -> None:
 
 
 def check_event_settings(n: int, q: float, trials: int, seed: int) -> None:
-    """Raise ValueError unless the event checks can run with these settings.
-
-    Each check reads one setting, so an error names a single bad value.
-    """
+    """Raise ValueError unless the event checks can run with these settings."""
     _check_channel(n, q)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")

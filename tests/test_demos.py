@@ -1,4 +1,4 @@
-"""The demos run end to end; demo 04's full BER sweep is left out (minutes)."""
+"""The demos run end to end."""
 
 import os
 import subprocess
@@ -11,9 +11,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["01_channel_walkthrough.py", "02_line_structure.py",
-                                  "03_detection_pipeline.py"])
+                                  "03_detection_pipeline.py", "04_ber_sweep.py"])
 def test_demo_runs(demo, tmp_path):
-    # Demo 02 writes its CSV to the working directory.
+    # Demos 02 and 04 write their CSVs to the working directory.
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": path},

@@ -41,7 +41,6 @@ from sneakpath.detector import (
     SPTypeEstimate,
     _candidate_mixtures,
     _cell_terms,
-    _line_types,
     _log_kernel,
     _messages_to_row_pair,
     _softplus,
@@ -56,8 +55,11 @@ from sneakpath.instances import (
     KIND_DOUBLE_11,
     KIND_NO_SF,
     KIND_SINGLE,
+    _noiseless_view,
     make_case_instance,
+    make_case_library,
 )
+from sneakpath.structure import COMPLETE, INCOMPLETE, NON_SP
 
 
 def rng_of(seed):
@@ -212,11 +214,41 @@ class TestTypeLLRs:
 
 
 class TestDecideTypes:
-    def test_truth_table(self):
-        rows = _line_types(np.array([-3.0, 2.0, 0.0]), np.array([5.0, -1.0, 0.0]))
-        cols = _line_types(np.array([1.0, 1.0, -1.0]), np.array([-2.0, 0.0, 9.0]))
-        assert rows.tolist() == [0.0, 0.5, 1.0]
-        assert cols.tolist() == [0.5, 1.0, 0.0]
+    @staticmethod
+    def row_classes(monkeypatch, presence, completeness):
+        """Row classes of an estimate whose rows sum to ``presence`` in the
+        first pass and to ``completeness`` in the second.
+
+        The presence terms sit on the diagonal, so each line's presence is
+        the same on both axes, and the completeness terms fill the first
+        column flagged present.
+        """
+        t1 = np.diag(presence)
+        t2 = np.zeros_like(t1)
+        t2[:, np.flatnonzero(np.asarray(presence) >= 0.0)[0]] = completeness
+        monkeypatch.setattr(detector, "_cell_terms", lambda y, params: (t1, t2, t1))
+        return estimate_sp_types(t1, ChannelParams(sigma=30.0)).row_types
+
+    def test_truth_table(self, monkeypatch):
+        # Class 0 when the presence sum is negative; otherwise partial when
+        # the completeness sum is negative.  Zero sums go to the stronger class.
+        rows = self.row_classes(monkeypatch, [-3.0, 2.0, 0.0], [5.0, -1.0, 0.0])
+        cols = self.row_classes(monkeypatch, [1.0, 1.0, -1.0], [-2.0, 0.0, 9.0])
+        assert rows.tolist() == [NON_SP, INCOMPLETE, COMPLETE]
+        assert cols.tolist() == [INCOMPLETE, COMPLETE, NON_SP]
+
+    def test_library_classes_are_the_noiseless_view(self):
+        # The case library screens instances on the classes the detector
+        # would read at vanishing noise; the detector must read exactly those.
+        params = ChannelParams(sigma=1e-6)
+        rng = rng_of(402)
+        library = make_case_library()
+        for inst in library:
+            est = estimate_sp_types(sample_readout(inst.x, inst.e, params, rng), params)
+            rows, cols = _noiseless_view(inst.x, inst.e)
+            assert np.array_equal(est.row_types, rows), inst.kind
+            assert np.array_equal(est.col_types, cols), inst.kind
+        assert len(library) == 612
 
 
 class TestPatternDeclaration:

@@ -411,3 +411,10 @@ class TestCLI:
         assert cli_main(["verify-lemmas", "--q", "1.5", "--out", str(out)]) == 2
         assert "error: --q: q must lie in (0, 1), got 1.5" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_verify_lemmas_two_range_errors_name_the_one_reported(self, tmp_path, capsys):
+        # q is checked before n, and the error names the setting it reports.
+        out = tmp_path / "events.csv"
+        assert cli_main(["verify-lemmas", "--n", "2", "--q", "1.5", "--out", str(out)]) == 2
+        assert "error: --q: q must lie in (0, 1), got 1.5" in capsys.readouterr().err
+        assert not out.exists()
