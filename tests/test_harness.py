@@ -1,10 +1,13 @@
 import concurrent.futures
 import csv
 import hashlib
+import multiprocessing
 import os
 import platform
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -192,21 +195,6 @@ class TestRunExperiment:
                                         detectors=("proposed",)), timer=fixed_timer)
         assert calls == []
 
-    def test_one_pool_per_sweep(self, monkeypatch):
-        pools = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-        # run_experiment imports the pool class when it starts a pool.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        cfg = ExperimentConfig(n=16, sigma_list=(50.0, 150.0, 250.0), trials=8, seed=5,
-                               workers=2, detectors=("proposed",))
-        recs = run_experiment(cfg, timer=fixed_timer)
-        assert len(pools) == 1
-        assert [r.sigma for r in recs] == [50.0, 150.0, 250.0]
-
     def test_oracle_mode(self):
         cfg = ExperimentConfig(n=16, sigma_list=(100.0,), trials=20, seed=4,
                                detectors=("oracle",))
@@ -242,6 +230,95 @@ class TestRunExperiment:
         done = subprocess.run([sys.executable, "-c", probe, str(src), str(n), detectors],
                               capture_output=True, text=True, check=True, timeout=300)
         assert float(done.stdout) < max_faults
+
+
+@pytest.fixture
+def no_kept_pool():
+    """Start and end the test with no worker pool kept by the harness."""
+    harness._drop_pool()
+    yield
+    harness._drop_pool()
+
+
+@pytest.fixture
+def counted_pools(monkeypatch):
+    """The pools the harness starts, in order."""
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+    # run_experiment imports the pool class when it starts a pool.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return pools
+
+
+def _dying_chunk(*args):
+    os._exit(1)
+
+
+def worker_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+POOL_SWEEP = ExperimentConfig(n=16, sigma_list=(50.0, 150.0), trials=8, seed=5, workers=2,
+                              detectors=("proposed", "baseline"))
+
+
+@pytest.mark.usefixtures("no_kept_pool")
+class TestKeptPool:
+    def test_sweeps_share_one_pool(self, counted_pools):
+        first = run_experiment(POOL_SWEEP, timer=fixed_timer)
+        pids = worker_pids()
+        second = run_experiment(replace(POOL_SWEEP, seed=6), timer=fixed_timer)
+        assert len(counted_pools) == 1 and len(pids) == 2
+        assert worker_pids() == pids
+        assert first == run_experiment(replace(POOL_SWEEP, workers=1), timer=fixed_timer)
+        assert second == run_experiment(replace(POOL_SWEEP, seed=6, workers=1), timer=fixed_timer)
+
+    def test_other_worker_count_replaces_the_pool(self, counted_pools):
+        run_experiment(POOL_SWEEP, timer=fixed_timer)
+        old = worker_pids()
+        recs = run_experiment(replace(POOL_SWEEP, workers=3), timer=fixed_timer)
+        assert len(counted_pools) == 2
+        assert not old & worker_pids() and len(worker_pids()) == 3
+        assert recs == run_experiment(POOL_SWEEP, timer=fixed_timer)
+        assert len(counted_pools) == 3
+
+    def test_pool_with_a_killed_worker_is_replaced(self, counted_pools):
+        recs = run_experiment(POOL_SWEEP, timer=fixed_timer)
+        os.kill(min(worker_pids()), signal.SIGKILL)
+        # The pool marks itself broken once its manager thread sees the death.
+        deadline = time.monotonic() + 30.0
+        while not counted_pools[0]._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert counted_pools[0]._broken
+        assert run_experiment(POOL_SWEEP, timer=fixed_timer) == recs
+        assert len(counted_pools) == 2
+
+    def test_worker_death_during_a_sweep_fails_it(self, counted_pools, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_run_chunk", _dying_chunk)  # sent to the workers by name
+            with pytest.raises(concurrent.futures.process.BrokenProcessPool):
+                run_experiment(POOL_SWEEP, timer=fixed_timer)
+        recs = run_experiment(POOL_SWEEP, timer=fixed_timer)
+        assert len(counted_pools) == 2
+        assert recs == run_experiment(replace(POOL_SWEEP, workers=1), timer=fixed_timer)
+
+    def test_workers_exit_with_the_interpreter(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = ("import multiprocessing, sys; sys.path.insert(0, sys.argv[1]); "
+                 "from sneakpath import ExperimentConfig, run_experiment; "
+                 "run_experiment(ExperimentConfig(n=16, sigma_list=(80.0,), trials=8, workers=2)); "
+                 "print(*(p.pid for p in multiprocessing.active_children()))")
+        done = subprocess.run([sys.executable, "-c", probe, str(src)],
+                              capture_output=True, text=True, check=True, timeout=120)
+        pids = [int(p) for p in done.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 # SHA-256 of the CSV written by TestPersistence.test_csv_bytes_pinned.  It
@@ -384,6 +461,14 @@ class TestCLI:
         lines = out.read_text().splitlines()
         assert len(lines) == 7  # header + six events
         assert "worst |z|" in capsys.readouterr().out
+
+    def test_verify_lemmas_violation_exits_non_zero(self, tmp_path, capsys):
+        # Three arrays at N = 4 leave two events with no sample: NaN frequencies.
+        out = tmp_path / "events.csv"
+        assert cli_main(["verify-lemmas", "--n", "4", "--trials", "3", "--seed", "1",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().out.count("freq=nan") == 2
+        assert len(out.read_text().splitlines()) == 7
 
     def test_verify_lemmas_parse_error_names_the_flag(self, tmp_path, capsys):
         out = tmp_path / "events.csv"
