@@ -281,7 +281,7 @@ def locate_single_sf(y: np.ndarray, est: SPTypeEstimate, params: ChannelParams,
 # Double-failure localization, pairing, and refinement.
 # ---------------------------------------------------------------------------
 
-def _candidate_mixtures(y: np.ndarray, params: ChannelParams, est=None, kernels=None):
+def _candidate_mixtures(y: np.ndarray, params: ChannelParams, sneak_llr=None, kernels=None):
     """Per-cell log-likelihoods of a cell on a partially affected column.
 
     The cell reads r1 or r0 with equal weight when its row is clear, and r1
@@ -291,44 +291,18 @@ def _candidate_mixtures(y: np.ndarray, params: ChannelParams, est=None, kernels=
     weight 1/2 on r1 holds whatever q is: it is the chance that a singly
     supported column's 1 sits on a given failure row.  The capable-cell LLR
     ``sneak_llr`` of :func:`_cell_terms` weighs r1 by q instead, so it is the
-    gain at q = 1/2 only.  Given the estimate ``est`` of ``y``, the gain is
-    ``est.sneak_llr`` at q = 1/2.  At any other q the line scores read it
-    only on fully affected rows by partially affected columns, and the
-    reverse; when those cells are at most a third of the array, it is built
-    there only and is zero elsewhere.  ``kernels`` are the line kernels of
-    ``y`` (see :func:`_line_kernels`) when built.
+    gain at q = 1/2 only, and there it is returned when given.  ``kernels``
+    are the line kernels of ``y`` (see :func:`_line_kernels`) when built.
     """
     l0, d1 = kernels or _line_kernels(y, params)
     sp0 = _softplus(l0)
     mix10 = d1 + _LOG_HALF
     mix10 += sp0
-
-    def gain(y, sp0):
-        out = _softplus(_level_llr(y, params.r0_prime, params))
-        out -= sp0
-        return out
-
-    if est is None:
-        return mix10, gain(y, sp0)
-    if params.q == 0.5:
-        return mix10, est.sneak_llr
-    blocks = ((est.row_types == COMPLETE, est.col_types == INCOMPLETE),
-              (est.row_types == INCOMPLETE, est.col_types == COMPLETE))
-    if 3 * sum(np.count_nonzero(r) * np.count_nonzero(c) for r, c in blocks) > y.size:
-        # Gathering and scattering a cell costs about twice its softplus.
-        return mix10, gain(y, sp0)
-    # The gain keeps the fields' memory layout, so that the line scores of
-    # a transposed readout are the same mat-vec products.  The cells are
-    # indexed in memory order: on the transpose when the fields are F-ordered.
-    out = np.zeros_like(mix10)
-    c_view = out
-    if not out.flags.c_contiguous:
-        y, sp0, c_view, blocks = y.T, sp0.T, out.T, [(c, r) for r, c in blocks]
-    n = y.shape[1]
-    cells = np.concatenate([(np.flatnonzero(r)[:, None] * n + np.flatnonzero(c)).ravel()
-                            for r, c in blocks])
-    c_view.reshape(-1)[cells] = gain(y.take(cells), sp0.take(cells))
-    return mix10, out
+    if sneak_llr is not None and params.q == 0.5:
+        return mix10, sneak_llr
+    gain = _softplus(_level_llr(y, params.r0_prime, params))
+    gain -= sp0
+    return mix10, gain
 
 
 def _candidate_rows(fields, est: SPTypeEstimate) -> tuple[int, int]:
@@ -360,12 +334,12 @@ def double_sf_candidates(y: np.ndarray, est: SPTypeEstimate, params: ChannelPara
     """Score every non-ambiguous line as a potential failure line, keep two.
 
     ``kernels`` are the line kernels of ``y`` when the caller has built
-    them.  The scores read fields built from ``est`` (at q = 1/2 its
-    ``sneak_llr``), so ``est`` must be the estimate of ``y``.
+    them.  At q = 1/2 the scores read ``est.sneak_llr``, so ``est`` must be
+    the estimate of ``y``.
     """
     y = np.asarray(y, dtype=float)
     kernels = kernels or _line_kernels(y, params)
-    fields = (*kernels, *_candidate_mixtures(y, params, est, kernels))
+    fields = (*kernels, *_candidate_mixtures(y, params, est.sneak_llr, kernels))
     return (_candidate_rows(fields, est),
             _candidate_rows(tuple(f.T for f in fields), _transposed(est)))
 

@@ -10,7 +10,7 @@ processes execute the trials.
 
 from __future__ import annotations
 
-import atexit
+import os
 import time
 from dataclasses import dataclass
 
@@ -187,70 +187,153 @@ def _chunk_ranges(trials: int, workers: int):
     return [(a, min(a + chunk, trials)) for a in range(0, trials, chunk)]
 
 
-# The sweep's worker pool and its size, kept for the life of the process.
-_kept_pool = None
+# The sweep's worker processes, each with its pipe, kept for the life of
+# the process that forked them: (that process's id, [(process, pipe), ...]).
+_kept = None
 
 
-def _pool(workers: int):
-    """The kept pool of ``workers`` processes, forked on first use.
+def _serve(conn) -> None:
+    """Worker loop: run each ``(fn, args)`` received, send back how it went."""
+    import signal
+    # An interrupt is for the caller, which then stops the workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            fn, args = conn.recv()
+        except EOFError:  # the parent is gone
+            return
+        try:
+            outcome = True, fn(*args)
+        except Exception as err:
+            import traceback
+            outcome = False, (err, traceback.format_exc())
+        conn.send(outcome)
 
-    A pool of another size, or one broken by a dead worker, is shut down
-    and its threads joined before the new pool forks, so no pool thread is
-    alive across the fork.
+
+def _workers(count: int):
+    """The kept ``count`` workers, forked on first use.
+
+    Kept workers of another count, or with one dead, are stopped first.  The
+    workers start no thread here or in the parent, so a later fork of this
+    process, by this module or any other, copies no running thread.  A
+    process forked from the owner does not use or stop the owner's workers.
     """
-    global _kept_pool
-    if _kept_pool is not None:
-        size, pool = _kept_pool
-        if size == workers and not pool._broken:
-            return pool
+    global _kept
+    if _kept is not None and _kept[0] == os.getpid():
+        workers = _kept[1]
+        if len(workers) == count and all(p.is_alive() for p, _ in workers):
+            return workers
         _drop_pool()
-    # Imported here, as loading it costs every run that starts no pool.
-    from concurrent.futures import ProcessPoolExecutor
-    _kept_pool = (workers, ProcessPoolExecutor(max_workers=workers))
-    # Drop it at exit, while the modules its finalizer reads still exist.
-    atexit.unregister(_drop_pool)
-    atexit.register(_drop_pool)
-    return _kept_pool[1]
+    # Imported here, as loading it costs every run that starts no worker.
+    import multiprocessing
+    ctx = multiprocessing.get_context()
+    workers = []
+    for _ in range(count):
+        conn, child = ctx.Pipe()
+        # Daemonic, so multiprocessing stops it when this interpreter exits.
+        p = ctx.Process(target=_serve, args=(child,), daemon=True)
+        p.start()
+        child.close()
+        workers.append((p, conn))
+    _kept = os.getpid(), workers
+    return workers
 
 
 def _drop_pool() -> None:
-    """Shut the kept pool down, joining its threads and workers, and forget it."""
-    global _kept_pool
-    if _kept_pool is not None:
-        _kept_pool[1].shutdown(wait=True)
-        _kept_pool = None
+    """Stop the kept workers, if this process forked them, and forget them."""
+    global _kept
+    if _kept is not None and _kept[0] == os.getpid():
+        for p, conn in _kept[1]:
+            p.terminate()
+            p.join()
+            conn.close()
+    _kept = None
+
+
+def _run_on(workers, tasks) -> list:
+    """Run ``(fn, args)`` tasks on the workers; the results in task order.
+
+    Each worker holds two tasks and gets the next when it sends back one,
+    so it neither waits for this process between tasks nor is woken for
+    each: a worker woken per task can be placed on the waker's CPU, beside
+    the other worker, until the scheduler moves it.  A task's exception is
+    raised here, caused by the worker's traceback, and a worker that dies
+    raises ``BrokenProcessPool``; either way, and on an interrupt, the
+    workers are stopped first, so the next call forks fresh ones.
+    """
+    from multiprocessing.connection import wait
+    results = [None] * len(tasks)
+    todo = iter(enumerate(tasks))
+    sent = {conn: [] for _, conn in workers}  # pipe -> its tasks' indices, oldest first
+
+    def hand_next(conn):
+        task = next(todo, None)
+        if task is not None:
+            sent[conn].append(task[0])
+            conn.send(task[1])
+
+    failed = None
+    try:
+        for _ in range(2):
+            for conn in sent:
+                hand_next(conn)
+        while failed is None and any(sent.values()):
+            for conn in wait([c for c, q in sent.items() if q]):
+                ok, value = conn.recv()
+                if not ok:
+                    failed = value
+                    break
+                results[sent[conn].pop(0)] = value
+                hand_next(conn)
+    except (EOFError, OSError) as err:  # a pipe to a dead worker
+        _drop_pool()
+        from concurrent.futures.process import BrokenProcessPool
+        raise BrokenProcessPool("a sweep worker died") from err
+    except BaseException:
+        _drop_pool()
+        raise
+    if failed is not None:
+        _drop_pool()
+        err, trace = failed
+        raise err from RuntimeError(f"in a sweep worker:\n{trace}")
+    return results
 
 
 def run_experiment(cfg: ExperimentConfig, timer=time.perf_counter) -> list[ExperimentRecord]:
     """Run the full sweep; one record per (sigma, detector).
 
     All detectors see the same generated instances at a given sigma.  With
-    ``workers`` > 1 the chunks run on a pool that is forked once per process
-    and pool size, then kept for later calls.  One sigma of 100 arrays at
-    N = 128 with both detectors read a median 83 ms on the kept 2-worker
-    pool, against 102 ms with a pool forked and joined per call and 150 ms
-    on one worker (60 alternating calls each, shared 2-core Xeon).  The
-    workers see the modules as they were when the pool forked, so a later
-    monkeypatch in this process does not reach them.  A worker that dies
-    fails the sweep with ``BrokenProcessPool``; the next call forks a fresh
-    pool.  Calls from several threads at once are not supported: one with
-    another worker count shuts down the pool the other is using.  The
-    ``timer`` is injectable so tests can pin the elapsed column.
+    ``workers`` > 1 the chunks run on worker processes forked by the first
+    such call and kept for later ones, one set per process and worker
+    count, so a later call pays no fork, join or cold start.  The saving is
+    per call: it tells where one process makes many short parallel calls,
+    as the benchmark's one-sigma steps do, and not in one long sweep, which
+    forks once either way.  One sigma of 100 arrays at N = 128 with both
+    detectors read medians of 72-84 ms on kept workers against 113-125 ms
+    forking per call (about 39 ms less in the median pair) and 123-162 ms on
+    one worker (six alternating runs of 20-30 calls, shared 2-core Xeon).
+    The workers run no thread, nor does this process for them, so a later
+    fork of this process copies no running thread.  They see the modules as
+    they were when forked: a later monkeypatch in this process does not
+    reach them.  A worker that dies fails the sweep with
+    ``BrokenProcessPool``, and a chunk's exception is raised here; either
+    way the workers are stopped and the next call forks fresh ones.  Calls
+    from several threads at once are not supported.  The ``timer`` is
+    injectable so tests can pin the elapsed column.
     """
     records: list[ExperimentRecord] = []
     ranges = _chunk_ranges(cfg.trials, cfg.workers)
-    pool = _pool(cfg.workers) if cfg.workers > 1 and len(ranges) > 1 else None
+    workers = _workers(cfg.workers) if cfg.workers > 1 and len(ranges) > 1 else None
     for sigma_index, sigma in enumerate(cfg.sigma_list):
         t_start = timer()
         params = cfg.params_at(sigma)
         threshold = (optimal_threshold(params, cfg.sf_dist)
                      if DETECTOR_BASELINE in cfg.detectors else None)
-        if pool is None:
+        if workers is None:
             results = [_run_chunk(cfg, sigma_index, a, b, threshold) for a, b in ranges]
         else:
-            futures = [pool.submit(_run_chunk, cfg, sigma_index, a, b, threshold)
-                       for a, b in ranges]
-            results = [f.result() for f in futures]
+            results = _run_on(workers, [(_run_chunk, (cfg, sigma_index, a, b, threshold))
+                                        for a, b in ranges])
         elapsed_ms = (timer() - t_start) * 1000.0
         fin = ber_lower_bound(cfg.n, cfg.sf_dist, params)
         asym = asymptotic_bound(cfg.sf_dist, params)

@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import hashlib
 import multiprocessing
@@ -7,7 +6,9 @@ import platform
 import signal
 import subprocess
 import sys
+import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -234,32 +235,41 @@ class TestRunExperiment:
 
 @pytest.fixture
 def no_kept_pool():
-    """Start and end the test with no worker pool kept by the harness."""
+    """Start and end the test with no workers kept by the harness."""
     harness._drop_pool()
     yield
     harness._drop_pool()
 
 
 @pytest.fixture
-def counted_pools(monkeypatch):
-    """The pools the harness starts, in order."""
-    pools = []
+def started(monkeypatch):
+    """The processes started in this process during the test, in order."""
+    procs = []
+    start = multiprocessing.process.BaseProcess.start
 
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
-    # run_experiment imports the pool class when it starts a pool.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    return pools
+    def counted_start(self):
+        procs.append(self)
+        start(self)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted_start)
+    return procs
 
 
 def _dying_chunk(*args):
     os._exit(1)
 
 
+def _failing_chunk(*args):
+    raise ValueError("chunk failed")
+
+
 def worker_pids() -> set[int]:
+    """The live children of this process, reaping any that have exited."""
     return {p.pid for p in multiprocessing.active_children()}
+
+
+def _sweep_in_child(conn, cfg):
+    recs = run_experiment(cfg, timer=fixed_timer)
+    conn.send((recs, worker_pids()))
 
 
 POOL_SWEEP = ExperimentConfig(n=16, sigma_list=(50.0, 150.0), trials=8, seed=5, workers=2,
@@ -268,43 +278,76 @@ POOL_SWEEP = ExperimentConfig(n=16, sigma_list=(50.0, 150.0), trials=8, seed=5, 
 
 @pytest.mark.usefixtures("no_kept_pool")
 class TestKeptPool:
-    def test_sweeps_share_one_pool(self, counted_pools):
+    def test_sweeps_share_one_pool(self, started):
+        threads = threading.active_count()
         first = run_experiment(POOL_SWEEP, timer=fixed_timer)
         pids = worker_pids()
         second = run_experiment(replace(POOL_SWEEP, seed=6), timer=fixed_timer)
-        assert len(counted_pools) == 1 and len(pids) == 2
-        assert worker_pids() == pids
+        # Two workers forked once for both calls, each over both sigmas.
+        assert len(started) == 2 and {p.pid for p in started} == pids == worker_pids()
+        # No thread outlives the call, so a later fork copies none.
+        assert threading.active_count() == threads
         assert first == run_experiment(replace(POOL_SWEEP, workers=1), timer=fixed_timer)
         assert second == run_experiment(replace(POOL_SWEEP, seed=6, workers=1), timer=fixed_timer)
 
-    def test_other_worker_count_replaces_the_pool(self, counted_pools):
+    def test_other_worker_count_replaces_the_pool(self, started):
         run_experiment(POOL_SWEEP, timer=fixed_timer)
         old = worker_pids()
         recs = run_experiment(replace(POOL_SWEEP, workers=3), timer=fixed_timer)
-        assert len(counted_pools) == 2
         assert not old & worker_pids() and len(worker_pids()) == 3
         assert recs == run_experiment(POOL_SWEEP, timer=fixed_timer)
-        assert len(counted_pools) == 3
+        assert len(worker_pids()) == 2 and len(started) == 2 + 3 + 2
 
-    def test_pool_with_a_killed_worker_is_replaced(self, counted_pools):
+    def test_pool_with_a_killed_worker_is_replaced(self):
         recs = run_experiment(POOL_SWEEP, timer=fixed_timer)
-        os.kill(min(worker_pids()), signal.SIGKILL)
-        # The pool marks itself broken once its manager thread sees the death.
+        old = worker_pids()
+        victim = min(old)
+        os.kill(victim, signal.SIGKILL)
         deadline = time.monotonic() + 30.0
-        while not counted_pools[0]._broken and time.monotonic() < deadline:
+        while victim in worker_pids() and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert counted_pools[0]._broken
+        assert victim not in worker_pids()
         assert run_experiment(POOL_SWEEP, timer=fixed_timer) == recs
-        assert len(counted_pools) == 2
+        assert len(worker_pids()) == 2 and not old & worker_pids()
 
-    def test_worker_death_during_a_sweep_fails_it(self, counted_pools, monkeypatch):
+    def test_worker_death_during_a_sweep_fails_it(self, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(harness, "_run_chunk", _dying_chunk)  # sent to the workers by name
-            with pytest.raises(concurrent.futures.process.BrokenProcessPool):
+            with pytest.raises(BrokenProcessPool):
                 run_experiment(POOL_SWEEP, timer=fixed_timer)
+        assert worker_pids() == set()
         recs = run_experiment(POOL_SWEEP, timer=fixed_timer)
-        assert len(counted_pools) == 2
         assert recs == run_experiment(replace(POOL_SWEEP, workers=1), timer=fixed_timer)
+
+    def test_chunk_error_reaches_the_caller(self, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_run_chunk", _failing_chunk)
+            with pytest.raises(ValueError, match="chunk failed") as failed:
+                run_experiment(POOL_SWEEP, timer=fixed_timer)
+        assert "_failing_chunk" in str(failed.value.__cause__)  # the worker's traceback
+        # Chunks still running when the error arrived cannot reach a later sweep.
+        assert worker_pids() == set()
+        recs = run_experiment(POOL_SWEEP, timer=fixed_timer)
+        assert recs == run_experiment(replace(POOL_SWEEP, workers=1), timer=fixed_timer)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_forked_process_forks_its_own_workers(self):
+        recs = run_experiment(POOL_SWEEP, timer=fixed_timer)
+        pids = worker_pids()
+        ctx = multiprocessing.get_context("fork")
+        conn, child_conn = ctx.Pipe()
+        child = ctx.Process(target=_sweep_in_child, args=(child_conn, POOL_SWEEP))
+        child.start()
+        child_conn.close()  # so that a child that dies ends the wait below
+        ready = conn.poll(60)
+        child_recs, child_pids = conn.recv() if ready else (None, set())
+        child.join(timeout=60)
+        assert child.exitcode == 0 and child_recs == recs
+        assert len(child_pids) == 2 and not child_pids & pids
+        assert worker_pids() == pids
+        assert run_experiment(POOL_SWEEP, timer=fixed_timer) == recs
+        assert worker_pids() == pids
 
     def test_workers_exit_with_the_interpreter(self):
         src = Path(__file__).resolve().parent.parent / "src"
@@ -315,7 +358,7 @@ class TestKeptPool:
         done = subprocess.run([sys.executable, "-c", probe, str(src)],
                               capture_output=True, text=True, check=True, timeout=120)
         pids = [int(p) for p in done.stdout.split()]
-        assert len(pids) == 2
+        assert len(pids) == 2 and done.stderr == ""
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
